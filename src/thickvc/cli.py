@@ -89,6 +89,20 @@ def _load_json(path: str) -> dict:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _check_keys(doc, allowed: set[str], what: str) -> None:
+    """Reject a config object that is not a dict or has unknown keys."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be an object")
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise FormatError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+PAC_KEYS = {"class", "learner", "measure", "targets", "n_grid", "trials",
+            "epsilons", "no_hypothesis"}
+UGC_KEYS = {"class", "measures", "n_grid", "epsilon", "trials"}
+
+
 def _resolve(path: str, base_dir: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
@@ -404,11 +418,13 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_pac_sim(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, PAC_KEYS, "pac-sim config")
+    lcfg = cfg.get("learner", {"kind": "enumeration"})
+    _check_keys(lcfg, {"kind", "order"}, "learner")
     base_dir = os.path.dirname(os.path.abspath(args.config))
     cls = _class_from_spec(cfg["class"], base_dir)
     structured = isinstance(cls, FiniteCofiniteClass)
     m = cls.m if structured else cls.domain.size
-    lcfg = cfg.get("learner", {"kind": "enumeration"})
     order = lcfg.get("order")
     learner = LearnerSpec(
         kind=lcfg.get("kind", "enumeration"),
@@ -475,6 +491,7 @@ def cmd_pac_sim(args) -> int:
 
 def cmd_ugc_sim(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, UGC_KEYS, "ugc-sim config")
     base_dir = os.path.dirname(os.path.abspath(args.config))
     cls = _class_from_spec(cfg["class"], base_dir)
     structured = isinstance(cls, FiniteCofiniteClass)

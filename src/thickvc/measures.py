@@ -31,6 +31,7 @@ class DiscreteMeasure:
     atom_bound: float = field(init=False, compare=False)
     _arr: np.ndarray = field(init=False, compare=False, repr=False)
     _cum: np.ndarray = field(init=False, compare=False, repr=False)
+    _last: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -47,6 +48,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "_arr", w)
         object.__setattr__(self, "_cum", np.cumsum(w))
+        # last positive-weight index: where a draw past a short cumsum lands
+        object.__setattr__(self, "_last", int(np.flatnonzero(w)[-1]))
         object.__setattr__(self, "atom_bound", float(w.max()))
 
     @property
@@ -136,8 +139,9 @@ def _draw_indices(measure: DiscreteMeasure, n: int, rng: np.random.Generator) ->
         return np.empty(0, dtype=np.int64)
     u = rng.random(n)
     idx = np.searchsorted(measure._cum, u, side="right")
-    # float roundoff in the cumsum tail could otherwise yield m
-    return np.minimum(idx, measure.m - 1).astype(np.int64)
+    # u past a cumsum that ends short of 1 gives m; send it to the last
+    # positive-weight point, never to a zero-weight one
+    return np.minimum(idx, measure._last).astype(np.int64)
 
 
 def sample_iid(

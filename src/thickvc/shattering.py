@@ -1,9 +1,11 @@
 """Shattering computations on finite concept classes.
 
-Classical VC dimension by pruned breadth-first search; strong shattering of
-disjoint cluster families by a carver-bitset depth-first search; the thick
-and ideal-relative VC variants built on it; exact and greedy point-removal
-minimization; and carving a canonical witness family out of a carver map.
+One engine, a carver-bitset depth-first search for strongly shattered
+disjoint cluster families, answers every shattering question: classical VC
+dimension (singleton clusters), the thick variant (clusters of a minimum
+size), the ideal-relative variant (singletons outside the negligible set)
+and exact and greedy point-removal minimization (singletons off the removed
+points). Carving a canonical witness family out of a carver map closes it.
 
 Concepts are m-bit masks throughout. Inside the family search a second kind
 of mask appears: bitsets over concept INDICES, so "which concepts can still
@@ -18,13 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .domain import (
-    ClusterFamily,
-    Concept,
-    ConceptClass,
-    PrincipalIdeal,
-    restrict,
-)
+from .domain import ClusterFamily, Concept, ConceptClass, PrincipalIdeal
 from .errors import DomainMismatch, EmptyWitness, WorkLimitExceeded
 
 # node budget shared by all exact searches unless a caller overrides it
@@ -113,72 +109,18 @@ def vc_dimension(
 ):
     """Largest size of a shattered point set, by exhaustive pruned search.
 
-    Level k holds every shattered k-set; only their extensions are tried at
-    level k+1, since a superset of an unshattered set is unshattered. Sets
-    are generated in lexicographic order of sorted point indices, so the
-    first witness recorded at the deepest level is the lex-least one.
+    A point set is shattered exactly when its singletons are strongly
+    shattered, so this is the family search over singleton candidates of
+    the whole domain. Candidates are taken in increasing point order, so
+    the witness is the lex-least shattered set of maximal size.
 
     Returns the dimension, or (dimension, certificate) when asked.
     Raises EmptyClassError on an empty class, WorkLimitExceeded past the
     node budget.
     """
     cls.require_nonempty()
-    m = cls.domain.size
-    distinct = sorted({c.bits for c in cls.concepts})
-    # points with the same membership column can never be shattered
-    # together, and swapping one for its block minimum only lowers the
-    # witness lexicographically, so search block minima only
-    sigs: dict[int, int] = {}
-    for p in range(m):
-        s = 0
-        for i, b in enumerate(distinct):
-            if b >> p & 1:
-                s |= 1 << i
-        if s not in sigs:
-            sigs[s] = p
-    cands = sorted(sigs.values())
-    level: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
-    best: tuple[int, ...] = ()
-    nodes = 0
-    k = 0
-    while True:
-        k += 1
-        if len(distinct) < (1 << k):
-            break  # Sauer: too few distinct concepts to shatter k points
-        target = 1 << k
-        nxt: list[tuple[tuple[int, ...], int, int]] = []
-        for s, smask, start in level:
-            for ci in range(start, len(cands)):
-                p = cands[ci]
-                nodes += 1
-                if nodes > work_limit:
-                    raise WorkLimitExceeded(
-                        f"vc_dimension search passed {work_limit} nodes", work_limit
-                    )
-                cmask = smask | (1 << p)
-                traces: set[int] = set()
-                for b in distinct:
-                    traces.add(b & cmask)
-                    if len(traces) == target:
-                        nxt.append((s + (p,), cmask, ci + 1))
-                        break
-        if not nxt:
-            break
-        level = nxt
-        best = level[0][0]
-    d = len(best)
-    if not want_certificate:
-        return d
-    carvers: dict[int, int] = {}
-    for idx, c in enumerate(cls.concepts):
-        pat = 0
-        for j, p in enumerate(best):
-            if c.bits >> p & 1:
-                pat |= 1 << j
-        if pat not in carvers:
-            carvers[pat] = idx
-    witness = Concept.from_indices(m, best) if best else Concept.empty(m)
-    return d, ShatterCertificate("points", witness, carvers)
+    full = cls.domain.full_mask
+    return _point_search(cls, full, "points", want_certificate, work_limit)
 
 
 # family search internals
@@ -256,7 +198,6 @@ def _max_family(
             best_chosen = chosen
         if depth >= n_cap:
             return
-        bit = 1 << depth
         for j in range(start, len(keep)):
             a = candidates[keep[j]]
             if union & a:
@@ -287,6 +228,49 @@ def _max_family(
 
     rec(0, (), 0, [full])
     return best_depth, best_chosen, nodes
+
+
+def _certificate(
+    cls: ConceptClass, kind: str, family: list[int], min_size: int = 1
+) -> ShatterCertificate:
+    """Certificate for a strongly shattered family of cluster masks: a
+    "points" witness is their union, a "clusters" witness the family."""
+    m = cls.domain.size
+    carvers = _family_carvers([c.bits for c in cls.concepts], family)
+    if kind == "points":
+        witness = Concept(m, sum(family))
+    else:
+        witness = ClusterFamily(
+            cls.domain, tuple(Concept(m, a) for a in family), min_size
+        )
+    return ShatterCertificate(kind, witness, carvers)
+
+
+def _point_search(
+    cls: ConceptClass,
+    allowed: int,
+    kind: str,
+    want_certificate: bool,
+    work_limit: int,
+):
+    """Largest shattered set of allowed points, as a singleton-family search.
+
+    Points with the same membership column can never be shattered together,
+    and swapping one for its block minimum only lowers the witness
+    lexicographically, so only block minima are candidates. 2^n distinct
+    traces on the allowed points are needed to shatter n of them.
+    """
+    traces = sorted({c.bits & allowed for c in cls.concepts})
+    blocks: dict[tuple[int, ...], int] = {}
+    for p in range(cls.domain.size):
+        if allowed >> p & 1:
+            blocks.setdefault(tuple(t >> p & 1 for t in traces), p)
+    candidates = [1 << p for p in blocks.values()]
+    n_cap = min(len(candidates), len(traces).bit_length() - 1)
+    n, chosen, _ = _max_family(traces, candidates, n_cap, work_limit)
+    if not want_certificate:
+        return n
+    return n, _certificate(cls, kind, [candidates[p] for p in chosen])
 
 
 def is_strongly_shattered(
@@ -334,10 +318,10 @@ def vc_thick(
             stacklevel=2,
         )
         return (0, None) if want_certificate else 0
-    n_distinct = len({c.bits for c in cls.concepts})
+    masks = sorted({c.bits for c in cls.concepts})
     # 2^n distinct carvers are forced (patterns differing at i disagree on
     # the nonempty A_i), and disjointness caps n at m // min_size
-    n_cap = min(m // min_size, n_distinct.bit_length() - 1)
+    n_cap = min(m // min_size, len(masks).bit_length() - 1)
     cand_count = math.comb(m, min_size)
     if cand_count > work_limit:
         raise WorkLimitExceeded(
@@ -348,15 +332,11 @@ def vc_thick(
     candidates = [
         sum(1 << i for i in tup) for tup in combinations(range(m), min_size)
     ]
-    masks = [c.bits for c in cls.concepts]
     n, chosen, _ = _max_family(masks, candidates, n_cap, work_limit)
     if not want_certificate:
         return n
-    family = ClusterFamily(
-        cls.domain, tuple(Concept(m, candidates[p]) for p in chosen), min_size
-    )
-    carvers = _family_carvers(masks, [candidates[p] for p in chosen])
-    return n, ShatterCertificate("clusters", family, carvers)
+    family = [candidates[p] for p in chosen]
+    return n, _certificate(cls, "clusters", family, min_size)
 
 
 def vc_mod_ideal(
@@ -378,20 +358,8 @@ def vc_mod_ideal(
     m = cls.domain.size
     if ideal.m != m:
         raise DomainMismatch("ideal lives on a different domain")
-    nbits = ideal.negligible.bits
-    outside = [i for i in range(m) if not nbits >> i & 1]
-    candidates = [1 << i for i in outside]
-    n_distinct = len({c.bits for c in cls.concepts})
-    n_cap = min(len(outside), n_distinct.bit_length() - 1)
-    masks = [c.bits for c in cls.concepts]
-    n, chosen, _ = _max_family(masks, candidates, n_cap, work_limit)
-    if not want_certificate:
-        return n
-    family = ClusterFamily(
-        cls.domain, tuple(Concept(m, candidates[p]) for p in chosen), 1
-    )
-    carvers = _family_carvers(masks, [candidates[p] for p in chosen])
-    return n, ShatterCertificate("clusters", family, carvers)
+    allowed = cls.domain.full_mask & ~ideal.negligible.bits
+    return _point_search(cls, allowed, "clusters", want_certificate, work_limit)
 
 
 @dataclass(frozen=True)
@@ -426,10 +394,14 @@ def vc_after_removal(
         raise ValueError(f"budget must lie in [0, {m}], got {budget!r}")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    full = cls.domain.full_mask
+
+    def vc_without(removed: int) -> int:
+        return _point_search(cls, full & ~removed, "points", False, work_limit)
+
     if budget == 0:
         # no removal choice is made, so even greedy mode is exact here
-        d = vc_dimension(cls, work_limit=work_limit)
-        return RemovalResult(d, Concept.empty(m), mode, False)
+        return RemovalResult(vc_without(0), Concept.empty(m), mode, False)
     if mode == "exact":
         if budget == m:
             return RemovalResult(0, Concept.full(m), "exact", False)
@@ -444,32 +416,20 @@ def vc_after_removal(
         best_mask = 0
         for tup in combinations(range(m), budget):
             nmask = sum(1 << i for i in tup)
-            sub = restrict(cls, [i for i in range(m) if not nmask >> i & 1])
-            v = vc_dimension(sub, work_limit=work_limit)
+            v = vc_without(nmask)
             if best_vc is None or v < best_vc:
                 best_vc = v
                 best_mask = nmask
                 if v == 0:
                     break
         return RemovalResult(best_vc, Concept(m, best_mask), "exact", False)
-    # greedy
+    # greedy: min over (vc, point) pairs breaks ties to the least index
     removed = 0
-    kept = list(range(m))
     for _ in range(budget):
-        if len(kept) == 1:
-            removed |= 1 << kept[0]
-            kept = []
-            break
-        best: tuple[int, int, list[int]] | None = None
-        for orig in kept:
-            sub_keep = [i for i in kept if i != orig]
-            v = vc_dimension(restrict(cls, sub_keep), work_limit=work_limit)
-            if best is None or v < best[0]:
-                best = (v, orig, sub_keep)
-        removed |= 1 << best[1]
-        kept = best[2]
-    final = 0 if not kept else vc_dimension(restrict(cls, kept), work_limit=work_limit)
-    return RemovalResult(final, Concept(m, removed), "greedy", True)
+        kept = [p for p in range(m) if not removed >> p & 1]
+        _, p = min((vc_without(removed | 1 << p), p) for p in kept)
+        removed |= 1 << p
+    return RemovalResult(vc_without(removed), Concept(m, removed), "greedy", True)
 
 
 def canonical_witness(cls: ConceptClass, carvers: dict[int, int]) -> ClusterFamily:

@@ -260,6 +260,36 @@ def test_pac_sim_deterministic_across_jobs(tmp_path):
     assert header.startswith("target_index,n,trials,mean_error")
 
 
+def test_pac_sim_rejects_unknown_keys(tmp_path):
+    cfg = tmp_path / "pac.json"
+    # "epsilon" in place of "epsilons" would otherwise pass silently
+    typo = {k: v for k, v in PAC_CFG.items() if k != "epsilons"}
+    typo["epsilon"] = 0.3
+    cfg.write_text(json.dumps(typo))
+    r = run_cli("pac-sim", "--config", str(cfg), "--seed", "1")
+    assert r.returncode == 2
+    assert "key(s): epsilon" in r.stderr and r.stdout == ""
+    cfg.write_text(json.dumps({**PAC_CFG, "learner": {"kind": "enumeration", "oder": [0]}}))
+    r = run_cli("pac-sim", "--config", str(cfg), "--seed", "1")
+    assert r.returncode == 2
+    assert "learner key(s): oder" in r.stderr and r.stdout == ""
+
+
+def test_ugc_sim_rejects_unknown_keys(tmp_path):
+    cfg = tmp_path / "ugc.json"
+    cfg.write_text(json.dumps({
+        "class": {"generator": {"family": "power-set", "r": 3}},
+        "measures": [{"type": "uniform"}],
+        "n_grid": [10],
+        "epsilon": 0.25,
+        "epsilons": [0.1],
+        "trials": 10,
+    }))
+    r = run_cli("ugc-sim", "--config", str(cfg), "--seed", "1")
+    assert r.returncode == 2
+    assert "key(s): epsilons" in r.stderr and r.stdout == ""
+
+
 def test_ugc_sim_deterministic_across_jobs(tmp_path):
     cfg = tmp_path / "ugc.json"
     cfg.write_text(json.dumps({

@@ -17,6 +17,7 @@ from thickvc import (
     uniform,
     uniform_on,
 )
+from thickvc.measures import _draw_indices
 
 
 def test_basic_properties():
@@ -100,6 +101,22 @@ def test_sampling_frequencies_converge():
     freq = collections.Counter(s.points)
     for i in range(3):
         assert freq[i] / 20_000 == pytest.approx(mu.weight(i), abs=0.02)
+
+
+class _TopOfUnitInterval:
+    """Generator stub whose every uniform draw is the largest float below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_draw_past_short_cumsum_lands_on_positive_weight():
+    # seven sevenths sum to just under 1, so u = nextafter(1, 0) passes the
+    # cumsum's end; the draw must go to point 6, not a zero-weight point
+    mu = DiscreteMeasure((1 / 7,) * 7 + (0.0,) * 3)
+    assert mu._cum[-1] < np.nextafter(1.0, 0.0)
+    idx = _draw_indices(mu, 4, _TopOfUnitInterval())
+    assert idx.tolist() == [6, 6, 6, 6]
 
 
 def test_sample_size_zero_and_negative():

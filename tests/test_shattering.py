@@ -48,6 +48,22 @@ def brute_vc(concept_sets, m):
     return best
 
 
+def brute_vc_on(concept_sets, keep):
+    """brute_vc of the traces on the points of keep, renumbered 0.."""
+    pos = {p: i for i, p in enumerate(keep)}
+    traces = [frozenset(pos[p] for p in c if p in pos) for c in concept_sets]
+    return brute_vc(traces, len(keep))
+
+
+def first_shattered(concept_sets, points, k):
+    """Lex-least k-subset of points on which the sets cut every pattern."""
+    return next(
+        pts
+        for pts in itertools.combinations(points, k)
+        if len({frozenset(p for p in pts if p in c) for c in concept_sets}) == 2**k
+    )
+
+
 def brute_strongly_shattered(concept_sets, clusters):
     n = len(clusters)
     for pat in range(2**n):
@@ -123,12 +139,22 @@ def test_vc_witness_is_lex_least():
         if v == 0:
             continue
         sets = [frozenset(c.indices()) for c in cls.concepts]
-        first = next(
-            pts
-            for pts in itertools.combinations(range(cls.domain.size), v)
-            if len({frozenset(p for p in pts if p in c) for c in sets}) == 2**v
-        )
+        first = first_shattered(sets, range(cls.domain.size), v)
         assert tuple(sorted(cert.witness.indices())) == first, trial
+    for trial in range(60):
+        # modulo an ideal: the lex-least shattered set outside N, in order
+        cls = random_class(trial, m_hi=8, count_hi=30)
+        m = cls.domain.size
+        rng = derive_rng(78, "neg", trial)
+        npts = {int(x) for x in rng.permutation(m)[: int(rng.integers(0, m))]}
+        ideal = PrincipalIdeal(Concept.from_indices(m, sorted(npts)))
+        vm, cert = vc_mod_ideal(cls, ideal, want_certificate=True)
+        if vm == 0:
+            continue
+        sets = [frozenset(c.indices()) for c in cls.concepts]
+        outside = [p for p in range(m) if p not in npts]
+        first = first_shattered(sets, outside, vm)
+        assert tuple(a.indices()[0] for a in cert.witness.clusters) == first, trial
 
 
 def test_vc_empty_class_and_work_limit():
@@ -185,7 +211,10 @@ def test_vc_thick_against_brute_force():
 def test_vc_thick_min_size_one_is_plain_vc():
     for trial in range(40):
         cls = random_class(trial, m_hi=8)
-        assert vc_thick(cls, 1) == vc_dimension(cls), trial
+        sets = [frozenset(c.indices()) for c in cls.concepts]
+        v = vc_thick(cls, 1)
+        assert v == vc_dimension(cls), trial
+        assert v == brute_vc(sets, cls.domain.size), trial
 
 
 def test_vc_thick_certificate_validates():
@@ -220,6 +249,7 @@ def test_vc_mod_ideal_equals_restriction():
         keep = [p for p in range(m) if p not in set(npts)]
         assert keep, "negligible set never covers the whole domain here"
         assert vm == vc_dimension(restrict(cls, keep)), trial
+        assert vm == brute_vc_on([frozenset(c.indices()) for c in cls.concepts], keep)
         if vm > 0:
             ok, _ = is_strongly_shattered(cls, cert.witness)
             assert ok
@@ -239,6 +269,7 @@ def test_vc_after_removal_exact_and_greedy():
     for trial in range(25):
         cls = random_class(trial, m_hi=7, count_hi=20)
         m = cls.domain.size
+        sets = [frozenset(c.indices()) for c in cls.concepts]
         base = vc_dimension(cls)
         prev = base
         for budget in range(0, min(3, m)):
@@ -249,6 +280,15 @@ def test_vc_after_removal_exact_and_greedy():
                 for rm in itertools.combinations(range(m), budget)
             )
             assert res.vc == want, (trial, budget)
+            # the frozenset oracle agrees, both on the optimum and on the
+            # set actually removed
+            assert res.vc == min(
+                brute_vc_on(sets, [p for p in range(m) if p not in set(rm)])
+                for rm in itertools.combinations(range(m), budget)
+            ), (trial, budget)
+            assert res.vc == brute_vc_on(
+                sets, [p for p in range(m) if p not in res.removed]
+            ), (trial, budget)
             assert res.removed.size == budget
             assert not res.heuristic
             assert res.vc <= prev
@@ -256,6 +296,9 @@ def test_vc_after_removal_exact_and_greedy():
             greedy = vc_after_removal(cls, budget, mode="greedy")
             assert greedy.vc >= res.vc  # heuristic never beats the optimum
             assert greedy.heuristic == (budget > 0)
+            assert greedy.vc == brute_vc_on(
+                sets, [p for p in range(m) if p not in greedy.removed]
+            ), (trial, budget)
 
 
 def test_vc_after_removal_full_budget():
