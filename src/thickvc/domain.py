@@ -8,7 +8,9 @@ hashable, so instances can be shared freely across threads and processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainMismatch, EmptyClassError
 
@@ -51,6 +53,14 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
+    """Bool matrix whose row i holds the m low bits of masks[i]."""
+    nbytes = (m + 7) // 8
+    raw = b"".join(b.to_bytes(nbytes, "little") for b in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :m].astype(bool)
 
 
 @dataclass(frozen=True, order=False)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Concept, ConceptClass
+from .domain import Concept, ConceptClass, membership_matrix
 from .errors import WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
 from .measures import DiscreteMeasure, _draw_indices, symdiff_distance
@@ -73,10 +73,7 @@ def empirical_sup_deviation(
     else:
         cls.require_nonempty()
         m = cls.domain.size
-        mat = np.zeros((len(cls.concepts), m), dtype=np.float64)
-        for k, c in enumerate(cls.concepts):
-            for i in c:
-                mat[k, i] = 1.0
+        mat = membership_matrix(cls.masks(), m).astype(np.float64)
         true_mass = mat @ measure._arr
     if measure.m != m:
         raise ValueError("measure and class must share a domain")

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -245,89 +246,93 @@ class FiniteCofiniteClass:
         stays empty, since the full set enumerates before everything but
         the empty set).
         """
-        P = frozenset(positives)
-        Z = frozenset(negatives)
-        if P & Z:
-            raise NoConsistentHypothesis("a point is labeled both 1 and 0")
+        return self.max_distance_learner(target, measure)(positives, negatives)
+
+    def max_distance_learner(
+        self, target: FCSet, measure: DiscreteMeasure
+    ) -> Callable[[Iterable[int], Iterable[int]], tuple[FCSet, float]]:
+        """max_distance_consistent for one (target, measure), prepared once.
+
+        The two extras pools (positive-s points by weight descending, ties
+        to the smaller index; negative-s points likewise, ties to the larger
+        index) and the descending list of zero-weight padding points depend
+        only on the target and the measure. The returned function answers
+        one (positives, negatives) sample per call and never mutates them.
+        """
         if target.m != self.m or measure.m != self.m:
             raise ValueError("target and measure must live on the class domain")
         m, t = self.m, self.t
         w = measure._arr
         tmass = fc_measure(measure, target)
-        tcore = target.core
-        t_is_cofinite = target.kind == "cofinite"
+        inside = self.label_points(target, np.arange(m))
+        s = np.where(inside, -w, w)
+        # positive s lives off the target, negative s on it
+        fin_pool = tuple(
+            int(x)
+            for x in np.lexsort((np.arange(m), -w))
+            if w[x] > 0 and not inside[x]
+        )
+        cof_pool = tuple(
+            int(x)
+            for x in np.lexsort((-np.arange(m), -w))
+            if w[x] > 0 and inside[x]
+        )
+        zeros_desc = tuple(int(x) for x in np.flatnonzero(w == 0)[::-1])
 
-        def s_of(x: int) -> float:
-            return -w[x] if target.contains(x) else w[x]
+        def step(
+            positives: Iterable[int], negatives: Iterable[int]
+        ) -> tuple[FCSet, float]:
+            P = frozenset(positives)
+            Z = frozenset(negatives)
+            if P & Z:
+                raise NoConsistentHypothesis("a point is labeled both 1 and 0")
 
-        best_fin: tuple[float, FCSet] | None = None
-        if len(P) <= t:
-            base = tmass + sum(s_of(x) for x in P)
-            cap = t - len(P)
-            if t_is_cofinite:
-                # positive s lives only on the target's complement core
-                pool = sorted(
-                    (x for x in tcore if x not in P and x not in Z and w[x] > 0),
-                    key=lambda x: (-w[x], x),
+            def free(pool, cap):
+                # the first cap pool points the sample leaves unlabeled
+                return list(
+                    islice((x for x in pool if x not in P and x not in Z), cap)
                 )
-            else:
-                # positive s is everywhere off the finite target
-                order = np.lexsort((np.arange(m), -w))
-                pool = [
-                    int(x)
-                    for x in order
-                    if w[x] > 0 and x not in tcore and x not in P and x not in Z
-                ]
-            extras = pool[:cap]
-            d = base + sum(w[x] for x in extras)
-            best_fin = (float(d), FCSet(m, "finite", P | frozenset(extras)))
-        best_cof: tuple[float, FCSet] | None = None
-        if len(Z) <= t:
-            base = sum(s_of(x) for x in Z)
-            cap = t - len(Z)
-            if t_is_cofinite:
-                # negative s is everywhere inside the cofinite target
-                order = np.lexsort((-np.arange(m), -w))
-                pool = [
-                    int(x)
-                    for x in order
-                    if w[x] > 0 and x not in tcore and x not in P and x not in Z
-                ]
-            else:
-                pool = sorted(
-                    (x for x in tcore if x not in P and x not in Z and w[x] > 0),
-                    key=lambda x: (-w[x], -x),
-                )
-            extras = pool[:cap]
-            core = set(Z)
-            core.update(extras)
-            # zero-weight padding costs no distance and moves the concept
-            # to an earlier (smaller-set) block; an empty core is already
-            # the full set at rank 1 and must stay empty
-            pad = t - len(core) if core else 0
-            if pad > 0:
-                for x in range(m - 1, -1, -1):
+
+            best_fin: tuple[float, FCSet] | None = None
+            if len(P) <= t:
+                base = tmass + sum(s[x] for x in P)
+                extras = free(fin_pool, t - len(P))
+                d = base + sum(w[x] for x in extras)
+                best_fin = (float(d), FCSet(m, "finite", P | frozenset(extras)))
+            best_cof: tuple[float, FCSet] | None = None
+            if len(Z) <= t:
+                base = sum(s[x] for x in Z)
+                extras = free(cof_pool, t - len(Z))
+                core = set(Z)
+                core.update(extras)
+                # zero-weight padding costs no distance and moves the concept
+                # to an earlier (smaller-set) block; an empty core is already
+                # the full set at rank 1 and must stay empty
+                pad = t - len(core) if core else 0
+                for x in zeros_desc:
                     if pad == 0:
                         break
-                    if w[x] == 0 and x not in core and x not in P:
+                    if x not in core and x not in P:
                         core.add(x)
                         pad -= 1
-            d = 1.0 - tmass - (base - sum(w[x] for x in extras))
-            best_cof = (float(d), FCSet(m, "cofinite", frozenset(core)))
-        if best_fin is None and best_cof is None:
-            raise NoConsistentHypothesis(
-                f"labels need a set larger than {t} with co-size larger than {t}"
-            )
-        if best_fin is None:
-            return best_cof[1], best_cof[0]
-        if best_cof is None:
-            return best_fin[1], best_fin[0]
-        if best_fin[0] != best_cof[0]:
-            d, fc = max(best_fin, best_cof, key=lambda p: p[0])
-        else:
-            # exact tie between the sides: least enumeration rank wins
-            d, fc = min(best_fin, best_cof, key=lambda p: self.rank(p[1]))
-        return fc, d
+                d = 1.0 - tmass - (base - sum(w[x] for x in extras))
+                best_cof = (float(d), FCSet(m, "cofinite", frozenset(core)))
+            if best_fin is None and best_cof is None:
+                raise NoConsistentHypothesis(
+                    f"labels need a set larger than {t} with co-size larger than {t}"
+                )
+            if best_fin is None:
+                return best_cof[1], best_cof[0]
+            if best_cof is None:
+                return best_fin[1], best_fin[0]
+            if best_fin[0] != best_cof[0]:
+                d, fc = max(best_fin, best_cof, key=lambda p: p[0])
+            else:
+                # exact tie between the sides: least enumeration rank wins
+                d, fc = min(best_fin, best_cof, key=lambda p: self.rank(p[1]))
+            return fc, d
+
+        return step
 
     # deviation query
 

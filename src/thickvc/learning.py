@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import Concept, ConceptClass
-from .errors import NoConsistentHypothesis, WorkLimitExceeded
+from .domain import Concept, ConceptClass, membership_matrix
+from .errors import DomainMismatch, NoConsistentHypothesis, WorkLimitExceeded
 from .fincofin import FCSet, FiniteCofiniteClass, fc_distance
 from .measures import (
     DiscreteMeasure,
@@ -273,6 +273,125 @@ def _quantile_points(errors: list[float]) -> dict[str, float]:
     return out
 
 
+# Trial rows are drawn and checked in blocks of about this many entries per
+# block's largest operand: its uniforms, or the widest per-row work the
+# kernel names (m points, or m x K for the dense consistency product). The
+# rows are consecutive slices of one stream, so no result depends on it.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _presence_blocks(
+    measure: DiscreteMeasure, n: int, trials: int, width: int, rng
+):
+    """Yield (first trial, presence) per block of trial rows; presence[r, x]
+    says whether point x was drawn in trial first + r. width is the
+    caller's work per row."""
+    rows = max(1, _BLOCK_ENTRIES // max(n, width))
+    for first in range(0, trials, rows):
+        b = min(rows, trials - first)
+        idx = _draw_indices(measure, (b, n), rng)
+        presence = np.zeros((b, measure.m), dtype=bool)
+        presence[np.arange(b)[:, None], idx] = True
+        yield first, presence
+
+
+def _dense_trials(cls, learner, target, measure, n, trials, rng):
+    """Per-trial errors and found-a-hypothesis flags of both learners over
+    the materialized class, in matrix form.
+
+    A concept is consistent with a sample when it agrees with the target on
+    every drawn point, i.e. when presence @ (C xor T)^T is zero. The
+    enumeration learner takes the first consistent column in its order, the
+    adversary the first maximum of the distance over consistent columns.
+    Blocks are sized by the product's m x K work per row, which keeps each
+    product below the size at which BLAS hands it to worker threads; on a
+    busy two-core host waking them cost milliseconds per call.
+    """
+    K = len(cls.concepts)
+    if K == 0:  # nothing fits any sample
+        return np.ones(trials), np.zeros(trials, dtype=bool)
+    adversarial = learner.kind == "adversarial"
+    if adversarial or learner.order is None:
+        order = np.arange(K)
+    else:
+        order = np.asarray(learner.order)
+    C = membership_matrix(cls.masks(), measure.m)
+    T = membership_matrix([target.bits], measure.m)[0]
+    # float32 products count disagreements exactly below 2^24 points
+    X = np.ascontiguousarray((C ^ T)[order].T, dtype=np.float32)
+    D = np.zeros(K)
+
+    def fill(ks):  # the distances the per-sample learners would report
+        for k in ks:
+            D[k] = symdiff_distance(measure, cls.concepts[k], target)
+
+    if adversarial:
+        fill(range(K))
+    chosen = np.empty(trials, dtype=np.int64)
+    found = np.empty(trials, dtype=bool)
+    for first, presence in _presence_blocks(measure, n, trials, C.size, rng):
+        consistent = presence.astype(np.float32) @ X == 0
+        if adversarial:
+            col = np.argmax(np.where(consistent, D, -np.inf), axis=1)
+        else:
+            col = np.argmax(consistent, axis=1)
+        ok = consistent[np.arange(col.size), col]
+        k = order[col]
+        # independent of the product: the output matches every drawn label
+        if np.any((C[k] != T) & presence & ok[:, None]):
+            raise AssertionError("learner output inconsistent with labels")
+        chosen[first : first + k.size] = k
+        found[first : first + k.size] = ok
+    if not adversarial:
+        fill(np.unique(chosen[found]).tolist())
+    return D[chosen], found
+
+
+def _row_lists(mask: np.ndarray) -> list[list[int]]:
+    """Column indices of each row's True entries, ascending."""
+    rows, m = mask.shape
+    flat = np.flatnonzero(mask)
+    ends = np.searchsorted(flat, np.arange(1, rows + 1) * m).tolist()
+    cols = (flat % m).tolist()
+    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _fc_agrees(fc: FCSet, pos: list[int], neg: list[int]) -> bool:
+    """Whether fc contains every positive and no negative."""
+    if fc.kind == "finite":
+        return fc.core.issuperset(pos) and fc.core.isdisjoint(neg)
+    return fc.core.isdisjoint(pos) and fc.core.issuperset(neg)
+
+
+def _structured_trials(cls, learner, target, measure, n, trials, rng):
+    """Per-trial errors and found-a-hypothesis flags of the closed-form
+    learners, one sample at a time, labeled through the target's membership
+    vector."""
+    inside = cls.label_points(target, np.arange(cls.m))
+    if learner.kind == "adversarial":
+        learn = cls.max_distance_learner(target, measure)
+    else:
+
+        def learn(pos, neg):
+            fc = cls.least_consistent(pos, neg)
+            return fc, fc_distance(measure, fc, target)
+
+    errors = np.empty(trials)
+    found = np.ones(trials, dtype=bool)
+    for first, presence in _presence_blocks(measure, n, trials, cls.m, rng):
+        samples = zip(_row_lists(presence & inside), _row_lists(presence & ~inside))
+        for r, (pos, neg) in enumerate(samples, first):
+            try:
+                fc, err = learn(pos, neg)
+            except NoConsistentHypothesis:
+                found[r] = False
+                continue
+            if not _fc_agrees(fc, pos, neg):
+                raise AssertionError("learner output inconsistent with labels")
+            errors[r] = err
+    return errors, found
+
+
 def pac_error_estimate(
     cls: ConceptClass | FiniteCofiniteClass,
     learner: LearnerSpec,
@@ -288,10 +407,11 @@ def pac_error_estimate(
 ) -> PacReport:
     """Estimate the distribution of mu(learned vs target) over i.i.d. samples.
 
-    Each trial draws its own generator from (seed, *seed_path, trial), so
-    trials are reproducible individually and independent of scheduling. The
-    consistency identity (learned concept agrees with every label) is
-    asserted on every trial; a violation is a bug, not a statistic.
+    A cell draws from one generator, derive_rng(seed, "pac", *seed_path):
+    trial tr gets row tr of its trials x n uniforms, so the cell is
+    reproducible and independent of scheduling. The consistency identity
+    (learned concept agrees with every label) is asserted on every trial; a
+    violation is a bug, not a statistic.
     no_hypothesis: "raise" propagates NoConsistentHypothesis, "full-error"
     counts the trial with error 1.0 and moves on.
     """
@@ -300,59 +420,40 @@ def pac_error_estimate(
     if no_hypothesis not in ("raise", "full-error"):
         raise ValueError(f"bad no_hypothesis policy {no_hypothesis!r}")
     structured = isinstance(cls, FiniteCofiniteClass)
+    m = cls.m if structured else cls.domain.size
+    enumeration_order = learner.kind == "enumeration" and learner.order is not None
     if isinstance(target, int):
         if structured:
             target = cls.concept_at(target)
         else:
             target = cls.concepts[target]
-    if structured and not isinstance(target, FCSet):
-        raise ValueError("structured classes take FCSet targets")
-    if not structured and not isinstance(target, Concept):
-        raise ValueError("materialized classes take Concept targets")
-    errors: list[float] = []
-    nohyp = 0
-    for tr in range(trials):
-        rng = derive_rng(seed, "pac", *seed_path, tr)
-        idx = _draw_indices(measure, n, rng)
-        pts = np.unique(idx)  # consistency depends only on the labeled set
-        try:
-            if structured:
-                inside = cls.label_points(target, pts)
-                pos = frozenset(int(x) for x in pts[inside])
-                neg = frozenset(int(x) for x in pts[~inside])
-                if learner.kind == "enumeration":
-                    if learner.order is not None:
-                        raise ValueError(
-                            "structured classes use their canonical order only"
-                        )
-                    fc = cls.least_consistent(pos, neg)
-                    err = fc_distance(measure, fc, target)
-                else:
-                    fc, err = cls.max_distance_consistent(pos, neg, target, measure)
-                got = cls.label_points(fc, pts)
-                if not np.array_equal(got, inside):
-                    raise AssertionError("learner output inconsistent with labels")
-            else:
-                sample = label_sample(
-                    target, SampleSeq(tuple(int(x) for x in pts))
-                )
-                if learner.kind == "enumeration":
-                    k = enumeration_learner(cls, learner.order, sample)
-                else:
-                    k = adversarial_consistent_learner(cls, sample, target, measure)
-                learned = cls.concepts[k]
-                for p, lab in zip(sample.points.points, sample.labels):
-                    if (p in learned) != bool(lab):
-                        raise AssertionError(
-                            "learner output inconsistent with labels"
-                        )
-                err = symdiff_distance(measure, learned, target)
-        except NoConsistentHypothesis:
-            if no_hypothesis == "raise":
-                raise
-            nohyp += 1
-            err = 1.0
-        errors.append(float(err))
+    if structured:
+        if not isinstance(target, FCSet):
+            raise ValueError("structured classes take FCSet targets")
+        if not cls.in_class(target):
+            raise ValueError("structured target is not a member of the class")
+        if enumeration_order:
+            raise ValueError("structured classes use their canonical order only")
+    else:
+        if not isinstance(target, Concept):
+            raise ValueError("materialized classes take Concept targets")
+        if enumeration_order and len(learner.order) != len(cls.concepts):
+            raise ValueError("order must be a permutation of the class indices")
+    if target.m != m or measure.m != m:
+        raise DomainMismatch("target and measure must live on the class domain")
+    run = _structured_trials if structured else _dense_trials
+    errors, found = run(
+        cls, learner, target, measure, n, trials, derive_rng(seed, "pac", *seed_path)
+    )
+    nohyp = int(trials - found.sum())
+    if nohyp:
+        if no_hypothesis == "raise":
+            raise NoConsistentHypothesis(
+                f"no concept in the class fits the labels of trial "
+                f"{int(np.argmin(found))}"
+            )
+        errors[~found] = 1.0
+    errors = errors.tolist()
     mean = sum(errors) / trials
     var = sum((e - mean) ** 2 for e in errors) / trials
     report = PacReport(

@@ -133,10 +133,17 @@ def mixture(
     return DiscreteMeasure(tuple(float(x) for x in out))
 
 
-def _draw_indices(measure: DiscreteMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling; the fast path shared by all simulators."""
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
+def _draw_indices(
+    measure: DiscreteMeasure, n: int | tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """Inverse-CDF sampling; the fast path shared by all simulators.
+
+    n is a count or an array shape, filled in row-major order from one run
+    of uniforms, so consecutive calls on one generator draw the same points
+    however the run is cut into blocks.
+    """
+    if np.prod(n) == 0:
+        return np.empty(n, dtype=np.int64)
     u = rng.random(n)
     idx = np.searchsorted(measure._cum, u, side="right")
     # u past a cumsum that ends short of 1 gives m; send it to the last

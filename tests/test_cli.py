@@ -275,6 +275,16 @@ def test_pac_sim_rejects_unknown_keys(tmp_path):
     assert "learner key(s): oder" in r.stderr and r.stdout == ""
 
 
+def test_pac_sim_rejects_structured_target_outside_class(tmp_path):
+    cfg = tmp_path / "pac.json"
+    # a cofinite core of 3 points on a t = 2 class is not a class member
+    bad = {**PAC_CFG, "targets": [{"kind": "cofinite", "core": [1, 5, 9]}]}
+    cfg.write_text(json.dumps(bad))
+    r = run_cli("pac-sim", "--config", str(cfg), "--seed", "1")
+    assert r.returncode == 2
+    assert "not a member" in r.stderr and r.stdout == ""
+
+
 def test_ugc_sim_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "ugc.json"
     cfg.write_text(json.dumps({

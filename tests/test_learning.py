@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from thickvc import learning
 from thickvc import (
     Concept,
     ConceptClass,
@@ -22,6 +23,7 @@ from thickvc import (
     enumeration_learner,
     gen_finite_cofinite,
     gen_intervals,
+    gen_random,
     label_sample,
     learner_image,
     pac_error_estimate,
@@ -29,6 +31,7 @@ from thickvc import (
     symdiff_distance,
     uniform,
 )
+from thickvc.measures import _draw_indices
 
 
 def test_labeled_sample_validation():
@@ -347,3 +350,120 @@ def test_adversarial_defeats_consistency_when_class_is_rich():
         sc, LearnerSpec("adversarial"), tgt, mu, 5 * t, 150, 88
     )
     assert boxed.mean_error <= 2 * t / m
+
+
+def test_pac_estimate_rejects_structured_target_outside_class():
+    sc = FiniteCofiniteClass(8, 1)
+    mu = uniform(8)
+    for kind in ("enumeration", "adversarial"):
+        with pytest.raises(ValueError, match="not a member"):
+            pac_error_estimate(
+                sc, LearnerSpec(kind), FCSet(8, "cofinite", frozenset({1, 2})),
+                mu, 4, 5, 1,
+            )
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew a sample before validating the learner")
+
+
+def test_pac_estimate_rejects_order_on_structured_class_before_drawing(monkeypatch):
+    monkeypatch.setattr(learning, "_draw_indices", _no_draws)
+    sc = FiniteCofiniteClass(8, 1)
+    with pytest.raises(ValueError, match="canonical order"):
+        pac_error_estimate(
+            sc, LearnerSpec("enumeration", (1, 0)), 0, uniform(8), 4, 5, 1
+        )
+
+
+def test_pac_estimate_rejects_short_order_before_drawing(monkeypatch):
+    monkeypatch.setattr(learning, "_draw_indices", _no_draws)
+    cls = gen_intervals(5)
+    with pytest.raises(ValueError, match="permutation of the class indices"):
+        pac_error_estimate(
+            cls, LearnerSpec("enumeration", (2, 0, 1)), 0, uniform(5), 4, 5, 1
+        )
+
+
+def test_pac_dense_kernel_matches_per_sample_learners():
+    # oracle: rebuild every trial's sample from the documented cell stream
+    # (row tr of derive_rng(seed, "pac", *seed_path)'s trials x n uniforms)
+    # and run the reference learners on it one sample at a time
+    rng = derive_rng(6767, "oracle")
+    trials = 6
+    for case in range(200):
+        m = int(rng.integers(1, 11))
+        cls = gen_random(m, int(rng.integers(1, 25)), float(rng.random()), case)
+        K = len(cls.concepts)
+        w = rng.random(m)
+        w[rng.random(m) < 0.2] = 0.0
+        if w.sum() == 0:
+            w[-1] = 1.0
+        mu = DiscreteMeasure(tuple(w / w.sum()))
+        n = int(rng.integers(0, 2 * m + 1))
+        # half the targets come from outside the class: unresolvable samples
+        if rng.random() < 0.5:
+            target = cls.concepts[int(rng.integers(0, K))]
+        else:
+            target = Concept(m, int(rng.integers(0, 1 << m)))
+        order = tuple(int(x) for x in rng.permutation(K))
+        for spec in (
+            LearnerSpec("enumeration"),
+            LearnerSpec("enumeration", order),
+            LearnerSpec("adversarial"),
+        ):
+            rep = pac_error_estimate(
+                cls, spec, target, mu, n, trials, 5151, seed_path=(case, 3),
+                no_hypothesis="full-error",
+            )
+            idx = _draw_indices(
+                mu, (trials, n), derive_rng(5151, "pac", case, 3)
+            )
+            nohyp = 0
+            for tr in range(trials):
+                sample = label_sample(target, SampleSeq(tuple(idx[tr].tolist())))
+                try:
+                    if spec.kind == "enumeration":
+                        k = enumeration_learner(cls, spec.order, sample)
+                    else:
+                        k = adversarial_consistent_learner(cls, sample, target, mu)
+                except NoConsistentHypothesis:
+                    nohyp += 1
+                    assert rep.errors[tr] == 1.0, (case, spec, tr)
+                    continue
+                want = symdiff_distance(mu, cls.concepts[k], target)
+                assert rep.errors[tr] == want, (case, spec, tr)
+            assert rep.no_hypothesis_count == nohyp, (case, spec)
+
+
+def _block_cells():
+    iv = gen_intervals(9)
+    K = len(iv.concepts)
+    order = tuple(int(x) for x in derive_rng(3131, "order").permutation(K))
+    mu = DiscreteMeasure((0.2, 0.0, 0.1, 0.1, 0.15, 0.05, 0.2, 0.0, 0.2))
+    sc = FiniteCofiniteClass(40, 3)
+    mu40 = uniform(40)
+    no_full = ConceptClass(Domain(4), (Concept.empty(4), Concept.from_indices(4, [0])))
+    tgt = FCSet(40, "cofinite", frozenset({3, 17}))
+    return [
+        (iv, LearnerSpec("enumeration"), 7, mu, 5, {}),
+        (iv, LearnerSpec("enumeration", order), 30, mu, 12, {}),
+        (iv, LearnerSpec("adversarial"), 12, mu, 3, {}),
+        (sc, LearnerSpec("enumeration"), tgt, mu40, 8, {}),
+        (sc, LearnerSpec("adversarial"), tgt, mu40, 2, {}),
+        (no_full, LearnerSpec("enumeration"), Concept.full(4), uniform(4), 3,
+         {"no_hypothesis": "full-error"}),
+    ]
+
+
+def test_pac_estimate_independent_of_block_size(monkeypatch):
+    # one trial per block against one block per cell
+    runs = []
+    for entries in (1, 1 << 30):
+        monkeypatch.setattr(learning, "_BLOCK_ENTRIES", entries)
+        runs.append([
+            pac_error_estimate(cls, spec, tgt, mu, n, 70, 99, **kw)
+            for cls, spec, tgt, mu, n, kw in _block_cells()
+        ])
+    assert runs[0] == runs[1]
+    assert runs[0][-1].no_hypothesis_count > 0
