@@ -20,7 +20,8 @@ import numpy as np
 from .domain import Concept, ConceptClass, membership_matrix
 from .errors import WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
-from .measures import DiscreteMeasure, _draw_indices, symdiff_distance
+from .learning import _quantile_points, _sample_blocks
+from .measures import DiscreteMeasure, _row_counts, symdiff_distance
 from .rng import derive_rng
 from .shattering import DEFAULT_WORK_LIMIT
 
@@ -37,15 +38,11 @@ class DeviationReport:
     n_atom_bound: float
 
 
-def _quantiles(vals: list[float]) -> dict[str, float]:
-    srt = sorted(vals)
-    T = len(srt)
-    out = {}
-    for q in (0.5, 0.9, 0.99):
-        out[f"q{int(q * 100)}"] = srt[max(0, math.ceil(q * T) - 1)]
-    out["min"] = srt[0]
-    out["max"] = srt[-1]
-    return out
+# Dense sups come from (counts @ C^T) products of at most this many
+# rows x m x K multiply-adds: OpenBLAS keeps a GEMM on one thread up to
+# 65536 x GEMM_MULTITHREAD_THRESHOLD (4), and on a busy host waking its
+# worker threads costs more than the product saves.
+_GEMM_ENTRIES = 1 << 18
 
 
 def empirical_sup_deviation(
@@ -61,7 +58,9 @@ def empirical_sup_deviation(
 
     Materialized classes get a full vectorized scan (the sup is exact, never
     sub-sampled); the structured finite/cofinite backend uses its exact
-    closed form. Trial generators derive from (seed, *seed_path, trial).
+    closed form. A cell draws from one generator,
+    derive_rng(seed, "dev", *seed_path): trial tr gets row tr of its
+    trials x n uniforms, so no result depends on how the rows are blocked.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -75,23 +74,29 @@ def empirical_sup_deviation(
         m = cls.domain.size
         mat = membership_matrix(cls.masks(), m).astype(np.float64)
         true_mass = mat @ measure._arr
+        chunk = max(1, _GEMM_ENTRIES // mat.size)
     if measure.m != m:
         raise ValueError("measure and class must share a domain")
-    sups: list[float] = []
-    for tr in range(trials):
-        rng = derive_rng(seed, "dev", *seed_path, tr)
-        idx = _draw_indices(measure, n, rng)
+
+    sups = np.empty(trials)
+    rng = derive_rng(seed, "dev", *seed_path)
+    for first, idx in _sample_blocks(measure, n, trials, m, rng):
         if structured:
-            sups.append(cls.sup_deviation(idx, measure))
-        else:
-            freq = np.bincount(idx, minlength=m).astype(np.float64) / n
-            emp = mat @ freq
-            sups.append(float(np.max(np.abs(emp - true_mass))))
+            sups[first : first + len(idx)] = cls.sup_deviation(idx, measure)
+            continue
+        counts = _row_counts(idx, m)
+        for a in range(0, len(counts), chunk):
+            # integer counts times a 0/1 matrix are exact in any summation
+            # order, so each frequency is count_C / n rounded once
+            hits = counts[a : a + chunk] @ mat.T
+            r = first + a
+            sups[r : r + len(hits)] = np.max(np.abs(hits / n - true_mass), axis=1)
+    sups = sups.tolist()
     mean = sum(sups) / trials
     return DeviationReport(
         sups=tuple(sups),
         mean=mean,
-        quantiles=_quantiles(sups),
+        quantiles=_quantile_points(sups, with_min=True),
         n=n,
         trials=trials,
         n_atom_bound=n * measure.atom_bound,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import Concept
 from .errors import NoConsistentHypothesis
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _row_counts
 
 
 @dataclass(frozen=True)
@@ -338,8 +338,11 @@ class FiniteCofiniteClass:
 
     def sup_deviation(
         self, points: np.ndarray, measure: DiscreteMeasure
-    ) -> float:
+    ) -> float | np.ndarray:
         """sup over the class of |mu(C) - empirical frequency of C|.
+
+        points is one sample (a float comes back) or a 2-D block with one
+        sample per row (an array of one sup per row comes back).
 
         With delta_x = count_x/n - w_x summing to zero over the domain, the
         deviation of a small set is |sum of delta over it| and of a co-small
@@ -348,19 +351,21 @@ class FiniteCofiniteClass:
         end. The empty and full sets contribute the floor of zero.
         """
         pts = np.asarray(points, dtype=np.int64)
-        n = pts.size
-        if n == 0:
-            return 0.0
-        counts = np.bincount(pts, minlength=self.m).astype(np.float64)
-        delta = counts / n - measure._arr
-        if self.t == 0:
-            return 0.0
-        srt = np.sort(delta)
-        lo = srt[: self.t]
-        hi = srt[::-1][: self.t]
-        best_lo = float(np.max(-np.cumsum(lo)))
-        best_hi = float(np.max(np.cumsum(hi)))
-        return max(0.0, best_lo, best_hi)
+        rows = np.atleast_2d(pts)
+        n = rows.shape[1]
+        if n == 0 or self.t == 0:
+            sups = np.zeros(rows.shape[0])
+        else:
+            delta = _row_counts(rows, self.m) / n - measure._arr
+            # only the t smallest and t largest deltas can enter a sum
+            t = self.t
+            part = np.partition(delta, (t - 1, self.m - t), axis=1)
+            lo = np.sort(part[:, :t], axis=1)
+            hi = np.sort(part[:, self.m - t :], axis=1)[:, ::-1]
+            best_lo = np.max(-np.cumsum(lo, axis=1), axis=1)
+            best_hi = np.max(np.cumsum(hi, axis=1), axis=1)
+            sups = np.maximum(0.0, np.maximum(best_lo, best_hi))
+        return float(sups[0]) if pts.ndim == 1 else sups
 
     # labeling helper shared by the simulators
 

@@ -49,7 +49,7 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Which rule to run; order applies to the enumeration kind only.
+    """Which rule to run; only the enumeration kind takes an order.
 
     The adversarial kind receives the target and measure at call time
     (white-box by design).
@@ -62,6 +62,8 @@ class LearnerSpec:
         if self.kind not in ("enumeration", "adversarial"):
             raise ValueError(f"unknown learner kind {self.kind!r}")
         if self.order is not None:
+            if self.kind == "adversarial":
+                raise ValueError("the adversarial learner takes no order")
             order = tuple(self.order)
             object.__setattr__(self, "order", order)
             if sorted(order) != list(range(len(order))):
@@ -262,36 +264,46 @@ class PacReport:
         return self.frac_exceeding[eps]
 
 
-def _quantile_points(errors: list[float]) -> dict[str, float]:
-    srt = sorted(errors)
+def _quantile_points(vals: list[float], *, with_min: bool = False) -> dict[str, float]:
+    """q50, q90, q99 (nearest rank), then min if asked, then max."""
+    srt = sorted(vals)
     T = len(srt)
     out = {}
     for q in (0.5, 0.9, 0.99):
         k = max(0, math.ceil(q * T) - 1)
         out[f"q{int(q * 100)}"] = srt[k]
+    if with_min:
+        out["min"] = srt[0]
     out["max"] = srt[-1]
     return out
 
 
 # Trial rows are drawn and checked in blocks of about this many entries per
 # block's largest operand: its uniforms, or the widest per-row work the
-# kernel names (m points, or m x K for the dense consistency product). The
+# caller names (m points, or m x K for the dense consistency product). The
 # rows are consecutive slices of one stream, so no result depends on it.
 _BLOCK_ENTRIES = 1 << 16
+
+
+def _sample_blocks(
+    measure: DiscreteMeasure, n: int, trials: int, width: int, rng
+):
+    """Yield (first trial, points) per block of trial rows; points[r] is the
+    sample of trial first + r, row first + r of the cell's trials x n
+    stream. width is the caller's work per row."""
+    rows = max(1, _BLOCK_ENTRIES // max(n, width))
+    for first in range(0, trials, rows):
+        yield first, _draw_indices(measure, (min(rows, trials - first), n), rng)
 
 
 def _presence_blocks(
     measure: DiscreteMeasure, n: int, trials: int, width: int, rng
 ):
     """Yield (first trial, presence) per block of trial rows; presence[r, x]
-    says whether point x was drawn in trial first + r. width is the
-    caller's work per row."""
-    rows = max(1, _BLOCK_ENTRIES // max(n, width))
-    for first in range(0, trials, rows):
-        b = min(rows, trials - first)
-        idx = _draw_indices(measure, (b, n), rng)
-        presence = np.zeros((b, measure.m), dtype=bool)
-        presence[np.arange(b)[:, None], idx] = True
+    says whether point x was drawn in trial first + r."""
+    for first, idx in _sample_blocks(measure, n, trials, width, rng):
+        presence = np.zeros((idx.shape[0], measure.m), dtype=bool)
+        presence[np.arange(idx.shape[0])[:, None], idx] = True
         yield first, presence
 
 

@@ -148,7 +148,14 @@ def _draw_indices(
     idx = np.searchsorted(measure._cum, u, side="right")
     # u past a cumsum that ends short of 1 gives m; send it to the last
     # positive-weight point, never to a zero-weight one
-    return np.minimum(idx, measure._last).astype(np.int64)
+    return np.minimum(idx, measure._last).astype(np.int64, copy=False)
+
+
+def _row_counts(idx: np.ndarray, m: int) -> np.ndarray:
+    """counts[r, x], as float64: how often point x occurs in row r of idx."""
+    rows = idx.shape[0]
+    flat = (idx + m * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * m).reshape(rows, m).astype(np.float64)
 
 
 def sample_iid(

@@ -275,6 +275,22 @@ def test_pac_sim_rejects_unknown_keys(tmp_path):
     assert "learner key(s): oder" in r.stderr and r.stdout == ""
 
 
+def test_pac_sim_rejects_order_on_adversarial_learner(tmp_path):
+    cfg = tmp_path / "pac.json"
+    order = list(range(10, -1, -1))
+    cfg.write_text(json.dumps({
+        "class": {"generator": {"family": "intervals", "m": 4}},
+        "measure": {"type": "uniform"},
+        "learner": {"kind": "adversarial", "order": order},
+        "targets": [{"index": 0}],
+        "n_grid": [3],
+        "trials": 5,
+    }))
+    r = run_cli("pac-sim", "--config", str(cfg), "--seed", "1")
+    assert r.returncode == 2
+    assert "takes no order" in r.stderr and r.stdout == ""
+
+
 def test_pac_sim_rejects_structured_target_outside_class(tmp_path):
     cfg = tmp_path / "pac.json"
     # a cofinite core of 3 points on a t = 2 class is not a class member

@@ -4,8 +4,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from thickvc import empirics, learning
 from thickvc import (
     Concept,
     ConceptClass,
@@ -17,13 +19,17 @@ from thickvc import (
     derive_rng,
     empirical_sup_deviation,
     gen_finite_cofinite,
+    gen_intervals,
     gen_power_set,
+    gen_random,
     packing_lower_bounds,
     packing_number,
     pattern_packing,
+    ugc_cell,
     ugc_curve,
     uniform,
 )
+from thickvc.measures import _draw_indices
 
 
 def test_sup_deviation_exact_binomial_singleton():
@@ -81,6 +87,94 @@ def test_sup_deviation_shrinks_with_n():
     big = empirical_sup_deviation(cls, mu, 800, 100, 11)
     assert big.mean < small.mean
     assert big.quantiles["q90"] < small.quantiles["q90"]
+
+
+def _random_measure(rng, m):
+    w = rng.random(m)
+    w[rng.random(m) < 0.2] = 0.0
+    if w.sum() == 0:
+        w[-1] = 1.0
+    return DiscreteMeasure(tuple(w / w.sum()))
+
+
+def _cell_rows(mu, n, trials, seed, seed_path):
+    # the documented stream: row tr of derive_rng(seed, "dev", *seed_path)'s
+    # trials x n uniforms is trial tr's sample
+    return _draw_indices(mu, (trials, n), derive_rng(seed, "dev", *seed_path))
+
+
+def test_sup_deviation_dense_matches_exact_rationals():
+    rng = derive_rng(2727, "oracle")
+    trials = 5
+    for case in range(150):
+        m = int(rng.integers(1, 11))
+        cls = gen_random(m, int(rng.integers(1, 25)), float(rng.random()), case)
+        mu = _random_measure(rng, m)
+        n = int(rng.integers(1, 3 * m + 2))
+        rep = empirical_sup_deviation(cls, mu, n, trials, 31, seed_path=(case,))
+        rows = _cell_rows(mu, n, trials, 31, (case,))
+        w = [Fraction(x) for x in mu.weights]
+        for tr in range(trials):
+            count = [0] * m
+            for p in rows[tr].tolist():
+                count[p] += 1
+            want = max(
+                abs(Fraction(sum(count[p] for p in c), n) - sum(w[p] for p in c))
+                for c in (c.indices() for c in cls.concepts)
+            )
+            assert abs(rep.sups[tr] - want) <= 1e-12, (case, tr)
+
+
+def test_sup_deviation_structured_rows_match_one_row_calls():
+    rng = derive_rng(2828, "oracle")
+    trials = 7
+    for case in range(60):
+        m = int(rng.integers(1, 41))
+        sc = FiniteCofiniteClass(m, int(rng.integers(0, (m + 1) // 2)))
+        mu = _random_measure(rng, m)
+        n = int(rng.integers(1, 3 * m + 2))
+        rep = empirical_sup_deviation(sc, mu, n, trials, 32, seed_path=(case,))
+        rows = _cell_rows(mu, n, trials, 32, (case,))
+        want = [sc.sup_deviation(row, mu) for row in rows]
+        assert [s.hex() for s in rep.sups] == [s.hex() for s in want], case
+
+
+def test_sup_deviation_independent_of_block_size(monkeypatch):
+    w = np.arange(1.0, 13.0)
+    w[[2, 7]] = 0.0
+    skew = DiscreteMeasure(tuple(w / w.sum()))
+    cells = [
+        (gen_intervals(12), skew, 9),
+        (gen_power_set(4), uniform(4), 30),
+        (FiniteCofiniteClass(12, 3), skew, 20),
+        (FiniteCofiniteClass(12, 0), skew, 6),
+    ]
+    runs = []
+    # one trial per block and per product against one of each per cell
+    for entries in (1, 1 << 30):
+        monkeypatch.setattr(learning, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(empirics, "_GEMM_ENTRIES", entries)
+        runs.append([
+            empirical_sup_deviation(cls, mu, n, 70, 41, seed_path=(ci,))
+            for ci, (cls, mu, n) in enumerate(cells)
+        ])
+    assert runs[0] == runs[1]
+    assert runs[0][-1].sups == (0.0,) * 70
+
+
+def test_ugc_cell_derives_one_stream_per_cell(monkeypatch):
+    calls = []
+
+    def counting(seed, *path):
+        calls.append(path)
+        return derive_rng(seed, *path)
+
+    monkeypatch.setattr(empirics, "derive_rng", counting)
+    for cls, m in ((gen_power_set(3), 3), (FiniteCofiniteClass(9, 2), 9)):
+        for trials in (1, 500):
+            calls.clear()
+            ugc_cell(cls, uniform(m), 12, 0.1, trials, 5, 1, 2)
+            assert calls == [("dev", "ugc", 1, 2)], (cls, trials)
 
 
 def test_ugc_curve_shape_and_worst_measure():

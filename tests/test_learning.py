@@ -50,6 +50,8 @@ def test_learner_spec_validation():
         LearnerSpec("magic")
     with pytest.raises(ValueError):
         LearnerSpec("enumeration", (0, 2))
+    with pytest.raises(ValueError, match="takes no order"):
+        LearnerSpec("adversarial", (1, 0))
 
 
 def test_label_sample_concept_and_fcset():
@@ -467,3 +469,18 @@ def test_pac_estimate_independent_of_block_size(monkeypatch):
         ])
     assert runs[0] == runs[1]
     assert runs[0][-1].no_hypothesis_count > 0
+
+
+def test_pac_estimate_derives_one_stream_per_cell(monkeypatch):
+    calls = []
+
+    def counting(seed, *path):
+        calls.append(path)
+        return derive_rng(seed, *path)
+
+    monkeypatch.setattr(learning, "derive_rng", counting)
+    for cls, spec, tgt, mu, n, kw in _block_cells():
+        for trials in (1, 500):
+            calls.clear()
+            pac_error_estimate(cls, spec, tgt, mu, n, trials, 5, seed_path=(2,), **kw)
+            assert calls == [("pac", 2)], (spec, trials)
