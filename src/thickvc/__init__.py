@@ -25,17 +25,9 @@ from .domain import (
     ConceptClass,
     Domain,
     PrincipalIdeal,
-    ValidationReport,
     restrict,
-    validate_class,
 )
 from .empirics import (
-    DeviationReport,
-    PackingBounds,
-    PackingResult,
-    PatternPackingResult,
-    UgcPoint,
-    assemble_ugc_point,
     empirical_sup_deviation,
     packing_lower_bounds,
     packing_number,
@@ -52,58 +44,35 @@ from .errors import (
     ThickVCError,
     WorkLimitExceeded,
 )
-from .fincofin import FCSet, FiniteCofiniteClass, fc_distance, fc_measure
-from .formats import (
-    dump_class,
-    dump_point_set,
-    load_class,
-    load_point_set,
-    read_class,
-    read_point_set,
-    save_class,
-    save_point_set,
-)
+from .fincofin import FCSet, FiniteCofiniteClass, fc_distance
+from .formats import read_class, read_point_set, save_class, save_point_set
 from .learning import (
-    ImageResult,
-    LabeledSample,
     LearnerSpec,
-    PacReport,
     adversarial_consistent_learner,
     enumeration_learner,
-    label_sample,
     learner_image,
     pac_error_estimate,
     sample_complexity_bound,
 )
 from .measures import (
     DiscreteMeasure,
-    SampleSeq,
     mixture,
-    point_mass,
-    sample_iid,
     symdiff_distance,
     uniform,
     uniform_on,
 )
-from .rng import RNG_ALGORITHM, derive_rng
+from .rng import derive_rng
 from .shattering import (
     DEFAULT_WORK_LIMIT,
-    RemovalResult,
     ShatterCertificate,
     canonical_witness,
     is_strongly_shattered,
-    sauer_bound,
-    sauer_shelah_ok,
-    trace_count,
     vc_after_removal,
     vc_dimension,
     vc_mod_ideal,
     vc_thick,
 )
 from .stone import (
-    AtomPartition,
-    QuotientSpace,
-    StoneCheck,
     generated_partition,
     induced_on_quotient,
     lift_witness,
@@ -114,12 +83,10 @@ from .stone import (
 
 __all__ = [
     "__version__",
-    "AtomPartition",
     "ClusterFamily",
     "Concept",
     "ConceptClass",
     "DEFAULT_WORK_LIMIT",
-    "DeviationReport",
     "DiscreteMeasure",
     "Domain",
     "DomainMismatch",
@@ -128,34 +95,18 @@ __all__ = [
     "FCSet",
     "FiniteCofiniteClass",
     "FormatError",
-    "ImageResult",
-    "LabeledSample",
     "LearnerSpec",
     "NoConsistentHypothesis",
-    "PacReport",
-    "PackingBounds",
-    "PackingResult",
-    "PatternPackingResult",
     "PrincipalIdeal",
-    "QuotientSpace",
-    "RNG_ALGORITHM",
-    "RemovalResult",
-    "SampleSeq",
     "ShatterCertificate",
-    "StoneCheck",
     "ThickVCError",
-    "UgcPoint",
-    "ValidationReport",
     "WorkLimitExceeded",
     "adversarial_consistent_learner",
     "canonical_witness",
     "derive_rng",
-    "dump_class",
-    "dump_point_set",
     "empirical_sup_deviation",
     "enumeration_learner",
     "fc_distance",
-    "fc_measure",
     "gen_cluster_decorated",
     "gen_finite_cofinite",
     "gen_intervals",
@@ -165,36 +116,26 @@ __all__ = [
     "generated_partition",
     "induced_on_quotient",
     "is_strongly_shattered",
-    "label_sample",
     "learner_image",
     "lift_witness",
-    "load_class",
-    "load_point_set",
     "mixture",
     "pac_error_estimate",
     "packing_lower_bounds",
     "packing_number",
     "pattern_packing",
-    "point_mass",
     "quotient_space",
     "read_class",
     "read_point_set",
     "restrict",
     "sample_complexity_bound",
-    "sample_iid",
-    "sauer_bound",
-    "sauer_shelah_ok",
     "save_class",
     "save_point_set",
     "stone_check",
     "symdiff_distance",
-    "trace_count",
-    "assemble_ugc_point",
     "ugc_cell",
     "ugc_curve",
     "uniform",
     "uniform_on",
-    "validate_class",
     "vc_after_removal",
     "vc_dimension",
     "vc_mod_ideal",

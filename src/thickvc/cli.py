@@ -20,15 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__
-from .classgen import (
-    gen_cluster_decorated,
-    gen_finite_cofinite,
-    gen_intervals,
-    gen_power_set,
-    gen_random,
-    gen_thresholds,
-)
+from . import __version__, classgen
 from .domain import Concept, ConceptClass, PrincipalIdeal
 from .empirics import (
     assemble_ugc_point,
@@ -89,18 +81,76 @@ def _load_json(path: str) -> dict:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _check_keys(doc, allowed: set[str], what: str) -> None:
-    """Reject a config object that is not a dict or has unknown keys."""
+def _typed(value, kind, where: str):
+    """A config value checked against its kind: int (a JSON integer, never
+    a bool or a float), float (ints too), str, dict, or [kind] for a list."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise FormatError(f"{where} must be a list")
+        return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise FormatError(f"{where} must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _fields(doc, what: str, fields: dict) -> list:
+    """Strictly read a config object. `fields` maps every allowed key to its
+    kind (see _typed), or to (kind, default) for an optional key; the values
+    come back in `fields` order."""
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be an object")
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise FormatError(f"unknown {what} key(s): {', '.join(unknown)}")
+    out = []
+    for key, kind in fields.items():
+        if key in doc:
+            out.append(_typed(doc[key], kind[0] if isinstance(kind, tuple) else kind,
+                              f"{what} {key!r}"))
+        elif isinstance(kind, tuple):
+            out.append(kind[1])
+        else:
+            raise FormatError(f"{what} needs key {key!r}")
+    return out
 
 
-PAC_KEYS = {"class", "learner", "measure", "targets", "n_grid", "trials",
-            "epsilons", "no_hypothesis"}
-UGC_KEYS = {"class", "measures", "n_grid", "epsilon", "trials"}
+def _tag(doc, what: str, key: str, table: dict) -> str:
+    """The entry of `table` that config object `doc` names under `key`."""
+    name = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(name, str) or name not in table:
+        raise FormatError(f"{what} needs {key!r}, one of: {', '.join(table)}")
+    return name
+
+
+# family -> (classgen function, typed parameters in call order); the `gen`
+# flags are the parameters with "_" as "-". The function is looked up by
+# name at call time, so a wrapper installed on classgen sees every call.
+# `base` is a class file for `gen` and a nested class spec in configs.
+GENERATORS = {
+    "finite-cofinite": ("gen_finite_cofinite", {"m": int, "t": int}),
+    "intervals": ("gen_intervals", {"m": int}),
+    "thresholds": ("gen_thresholds", {"m": int}),
+    "power-set": ("gen_power_set", {"r": int}),
+    "cluster-decorated": (
+        "gen_cluster_decorated",
+        {"base": ConceptClass, "cluster_size": int, "noise": int, "seed": int},
+    ),
+    "random": (
+        "gen_random", {"m": int, "count": int, "density": float, "seed": int}
+    ),
+}
+
+MEASURES = {
+    "uniform": {},
+    "uniform-on": {"support": [int]},
+    "explicit": {"weights": [float]},
+    "mixture": {"components": [dict], "coefficients": [float]},
+}
+
+
+def _generate(family: str, values: list, **kw):
+    return getattr(classgen, GENERATORS[family][0])(*values, **kw)
 
 
 def _resolve(path: str, base_dir: str) -> str:
@@ -109,88 +159,84 @@ def _resolve(path: str, base_dir: str) -> str:
 
 def _class_from_spec(spec, base_dir: str):
     """Config "class" entry: {"path": file} or {"generator": {...}}."""
-    if not isinstance(spec, dict):
-        raise FormatError("class spec must be an object")
-    if "path" in spec:
-        return read_class(_resolve(spec["path"], base_dir))
-    if "generator" not in spec:
-        raise FormatError("class spec needs 'path' or 'generator'")
-    g = dict(spec["generator"])
-    family = g.pop("family", None)
-    if family == "finite-cofinite":
-        return gen_finite_cofinite(
-            g.pop("m"), g.pop("t"), backend=g.pop("backend", "auto")
-        )
-    if family == "intervals":
-        return gen_intervals(g.pop("m"))
-    if family == "thresholds":
-        return gen_thresholds(g.pop("m"))
-    if family == "power-set":
-        return gen_power_set(g.pop("r"))
+    path, gen = _fields(
+        spec, "class spec", {"path": (str, None), "generator": (dict, None)}
+    )
+    if (path is None) == (gen is None):
+        raise FormatError("class spec needs exactly one of 'path', 'generator'")
+    if path is not None:
+        return read_class(_resolve(path, base_dir))
+    family = _tag(gen, "generator", "family", GENERATORS)
+    params = GENERATORS[family][1]
+    fields = {"family": str}
+    fields.update({p: dict if k is ConceptClass else k for p, k in params.items()})
+    if family == "finite-cofinite":  # configs may pick the backend
+        fields["backend"] = (str, "auto")
+    _, *values = _fields(gen, f"{family} generator", fields)
+    kw = {"backend": values.pop()} if family == "finite-cofinite" else {}
     if family == "cluster-decorated":
-        base = _class_from_spec(g.pop("base"), base_dir)
-        if not isinstance(base, ConceptClass):
+        values[0] = _class_from_spec(values[0], base_dir)
+        if not isinstance(values[0], ConceptClass):
             raise FormatError("cluster-decorated base must materialize")
-        return gen_cluster_decorated(
-            base, g.pop("cluster_size"), g.pop("noise"), g.pop("seed")
-        )
-    if family == "random":
-        return gen_random(
-            g.pop("m"), g.pop("count"), g.pop("density"), g.pop("seed")
-        )
-    raise FormatError(f"unknown generator family {family!r}")
+    return _generate(family, values, **kw)
 
 
 def _measure_from_spec(spec, m: int) -> DiscreteMeasure:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise FormatError("measure spec must be an object with a 'type'")
-    t = spec["type"]
+    t = _tag(spec, "measure", "type", MEASURES)
+    _, *values = _fields(spec, f"{t} measure", {"type": str, **MEASURES[t]})
     if t == "uniform":
         return uniform(m)
     if t == "uniform-on":
-        return uniform_on(Concept.from_indices(m, spec["support"]))
+        return uniform_on(Concept.from_indices(m, values[0]))
     if t == "explicit":
-        w = spec["weights"]
+        (w,) = values
         if len(w) != m:
             raise FormatError(f"explicit measure has {len(w)} weights, domain {m}")
-        return DiscreteMeasure(tuple(float(x) for x in w))
-    if t == "mixture":
-        parts = [_measure_from_spec(s, m) for s in spec["components"]]
-        return mixture(parts, [float(c) for c in spec["coefficients"]])
-    raise FormatError(f"unknown measure type {t!r}")
+        return DiscreteMeasure(tuple(w))
+    parts, coefficients = values
+    return mixture([_measure_from_spec(s, m) for s in parts], coefficients)
 
 
 def _target_from_spec(spec, cls):
-    """Config target entry: {"index": i}, {"points": [...]}, or
-    {"kind": finite|cofinite, "core": [...]}."""
+    """Config target entry, exactly one of {"index": i}, {"points": [...]}
+    and {"kind": finite|cofinite, "core": [...]}."""
+    index, points, kind, core = _fields(spec, "target", {
+        "index": (int, None), "points": ([int], None),
+        "kind": (str, None), "core": ([int], None),
+    })
+    if (kind is None) != (core is None) or [index, points, kind].count(None) != 2:
+        raise FormatError(
+            "target needs exactly one of 'index', 'points', 'kind' with 'core'"
+        )
+    if index is not None:
+        return index
     structured = isinstance(cls, FiniteCofiniteClass)
     m = cls.m if structured else cls.domain.size
-    if not isinstance(spec, dict):
-        raise FormatError("target spec must be an object")
-    if "index" in spec:
-        return int(spec["index"])
-    if "points" in spec:
-        pts = sorted(set(int(p) for p in spec["points"]))
-        if not structured:
-            return Concept.from_indices(m, pts)
-        if len(pts) <= cls.t:
-            return FCSet(m, "finite", frozenset(pts))
-        if m - len(pts) <= cls.t:
-            core = frozenset(range(m)) - frozenset(pts)
-            return FCSet(m, "cofinite", core)
-        raise FormatError(
-            "point-list target fits neither side of the structured class"
-        )
-    if "kind" in spec:
-        fc = FCSet(m, spec["kind"], frozenset(int(x) for x in spec["core"]))
-        if structured:
-            return fc
-        return fc.to_concept()
-    raise FormatError("target spec needs 'index', 'points', or 'kind'")
+    if kind is not None:
+        fc = FCSet(m, kind, frozenset(core))
+        return fc if structured else fc.to_concept()
+    pts = sorted(set(points))
+    if not structured:
+        return Concept.from_indices(m, pts)
+    if len(pts) <= cls.t:
+        return FCSet(m, "finite", frozenset(pts))
+    if m - len(pts) <= cls.t:
+        return FCSet(m, "cofinite", frozenset(range(m)) - frozenset(pts))
+    raise FormatError(
+        "point-list target fits neither side of the structured class"
+    )
 
 
-def _witness_clusters(fam) -> list[list[int]]:
-    return [sorted(c.indices()) for c in fam.clusters]
+def _add_certificate(rec: dict, cert, wanted: bool) -> None:
+    """With --certificate: the witness (points, or clusters) and each
+    pattern's carver index."""
+    if not wanted or cert is None:
+        return
+    if cert.kind == "points":
+        rec["witness"] = sorted(cert.witness.indices())
+    else:
+        rec["clusters"] = [sorted(c.indices()) for c in cert.witness.clusters]
+    rec["carvers"] = {str(k): v for k, v in sorted(cert.carvers.items())}
 
 
 # plain computations
@@ -208,9 +254,7 @@ def cmd_vc(args) -> int:
         concepts=len(cls.concepts),
         work_limit=args.work_limit,
     )
-    if args.certificate and cert is not None:
-        rec["witness"] = sorted(cert.witness.indices())
-        rec["carvers"] = {str(k): v for k, v in sorted(cert.carvers.items())}
+    _add_certificate(rec, cert, args.certificate)
     _emit(rec)
     _say(f"vc = {vc} on {cls.domain.size} points, {len(cls.concepts)} concepts")
     return 0
@@ -232,9 +276,7 @@ def cmd_vc_thick(args) -> int:
         concepts=len(cls.concepts),
         work_limit=args.work_limit,
     )
-    if args.certificate and cert is not None:
-        rec["clusters"] = _witness_clusters(cert.witness)
-        rec["carvers"] = {str(k): v for k, v in sorted(cert.carvers.items())}
+    _add_certificate(rec, cert, args.certificate)
     _emit(rec)
     _say(f"vc_thick(min_size={args.min_size}) = {vc}")
     return 0
@@ -255,9 +297,7 @@ def cmd_vc_mod(args) -> int:
         negligible_size=neg.size,
         work_limit=args.work_limit,
     )
-    if args.certificate and cert is not None:
-        rec["clusters"] = _witness_clusters(cert.witness)
-        rec["carvers"] = {str(k): v for k, v in sorted(cert.carvers.items())}
+    _add_certificate(rec, cert, args.certificate)
     _emit(rec)
     _say(f"vc_mod = {vc} (negligible set of {neg.size} points)")
     return 0
@@ -417,44 +457,36 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_pac_sim(args) -> int:
-    cfg = _load_json(args.config)
-    _check_keys(cfg, PAC_KEYS, "pac-sim config")
-    lcfg = cfg.get("learner", {"kind": "enumeration"})
-    _check_keys(lcfg, {"kind", "order"}, "learner")
+    cspec, lspec, mspec, tspecs, n_grid, trials, epsilons, nohyp = _fields(
+        _load_json(args.config), "pac-sim config", {
+            "class": dict, "learner": (dict, {}), "measure": dict,
+            "targets": [dict], "n_grid": [int], "trials": int,
+            "epsilons": ([float], []), "no_hypothesis": (str, "raise"),
+        },
+    )
+    kind, order = _fields(
+        lspec, "learner", {"kind": (str, "enumeration"), "order": ([int], None)}
+    )
+    learner = LearnerSpec(kind, None if order is None else tuple(order))
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    cls = _class_from_spec(cfg["class"], base_dir)
+    cls = _class_from_spec(cspec, base_dir)
     structured = isinstance(cls, FiniteCofiniteClass)
     m = cls.m if structured else cls.domain.size
-    order = lcfg.get("order")
-    learner = LearnerSpec(
-        kind=lcfg.get("kind", "enumeration"),
-        order=None if order is None else tuple(order),
-    )
-    mu = _measure_from_spec(cfg["measure"], m)
-    targets = [
-        (_target_from_spec(s, cls), s) for s in cfg["targets"]
+    mu = _measure_from_spec(mspec, m)
+    targets = [_target_from_spec(s, cls) for s in tspecs]
+    tasks = [
+        (cls, learner, target, mu, n, trials, args.seed, tuple(epsilons),
+         nohyp, ti, ni)
+        for ti, target in enumerate(targets)
+        for ni, n in enumerate(n_grid)
     ]
-    n_grid = [int(n) for n in cfg["n_grid"]]
-    trials = int(cfg["trials"])
-    epsilons = tuple(float(e) for e in cfg.get("epsilons", ()))
-    nohyp = cfg.get("no_hypothesis", "raise")
-    tasks = []
-    for ti, (target, _) in enumerate(targets):
-        for ni, n in enumerate(n_grid):
-            tasks.append(
-                (cls, learner, target, mu, n, trials, args.seed,
-                 epsilons, nohyp, ti, ni)
-            )
     reports = _run_cells(_pac_cell, tasks, args.jobs)
     rows = []
-    for (tidx, nidx), rep in zip(
-        [(ti, ni) for ti in range(len(targets)) for ni in range(len(n_grid))],
-        reports,
-    ):
-        spec_echo = targets[tidx][1]
+    for i, rep in enumerate(reports):
+        tidx, nidx = divmod(i, len(n_grid))
         rec = _base(
             "pac",
-            target=spec_echo,
+            target=tspecs[tidx],
             target_index=tidx,
             n=rep.n,
             n_index=nidx,
@@ -490,16 +522,17 @@ def cmd_pac_sim(args) -> int:
 
 
 def cmd_ugc_sim(args) -> int:
-    cfg = _load_json(args.config)
-    _check_keys(cfg, UGC_KEYS, "ugc-sim config")
+    cspec, mspecs, n_grid, epsilon, trials = _fields(
+        _load_json(args.config), "ugc-sim config", {
+            "class": dict, "measures": [dict], "n_grid": [int],
+            "epsilon": float, "trials": int,
+        },
+    )
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    cls = _class_from_spec(cfg["class"], base_dir)
+    cls = _class_from_spec(cspec, base_dir)
     structured = isinstance(cls, FiniteCofiniteClass)
     m = cls.m if structured else cls.domain.size
-    mus = [_measure_from_spec(s, m) for s in cfg["measures"]]
-    n_grid = [int(n) for n in cfg["n_grid"]]
-    epsilon = float(cfg["epsilon"])
-    trials = int(cfg["trials"])
+    mus = [_measure_from_spec(s, m) for s in mspecs]
     bound = max(mu.atom_bound for mu in mus)
     tasks = [
         (cls, mu, n, epsilon, trials, args.seed, ni, mi)
@@ -545,23 +578,12 @@ def cmd_ugc_sim(args) -> int:
 
 def cmd_gen(args) -> int:
     fam = args.family
-    if fam == "finite-cofinite":
-        cls = gen_finite_cofinite(args.m, args.t, backend="dense")
-    elif fam == "intervals":
-        cls = gen_intervals(args.m)
-    elif fam == "thresholds":
-        cls = gen_thresholds(args.m)
-    elif fam == "power-set":
-        cls = gen_power_set(args.r)
-    elif fam == "cluster-decorated":
-        base = read_class(args.base)
-        cls = gen_cluster_decorated(
-            base, args.cluster_size, args.noise, args.seed
-        )
-    elif fam == "random":
-        cls = gen_random(args.m, args.count, args.density, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise FormatError(f"unknown family {fam!r}")
+    values = [
+        read_class(getattr(args, p)) if kind is ConceptClass else getattr(args, p)
+        for p, kind in GENERATORS[fam][1].items()
+    ]
+    kw = {"backend": "dense"} if fam == "finite-cofinite" else {}
+    cls = _generate(fam, values, **kw)
     save_class(cls, args.out)
     rec = _base(
         "gen",
@@ -674,42 +696,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a generated class file")
     gsub = p.add_subparsers(dest="family", required=True)
 
-    g = gsub.add_parser("finite-cofinite")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--t", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    g = gsub.add_parser("intervals")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    g = gsub.add_parser("thresholds")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    g = gsub.add_parser("power-set")
-    g.add_argument("--r", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    g = gsub.add_parser("cluster-decorated")
-    g.add_argument("--base", required=True, help="class file to blow up")
-    g.add_argument("--cluster-size", type=int, required=True)
-    g.add_argument("--noise", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    g = gsub.add_parser("random")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--count", type=int, required=True)
-    g.add_argument("--density", type=float, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
+    for fam, (_, params) in GENERATORS.items():
+        g = gsub.add_parser(fam)
+        for p, kind in params.items():
+            if kind is ConceptClass:
+                g.add_argument(f"--{p}", required=True, help="class file to blow up")
+            else:
+                g.add_argument("--" + p.replace("_", "-"), type=kind, required=True)
+        g.add_argument("--out", required=True)
+        g.set_defaults(func=cmd_gen)
 
     return parser
 

@@ -166,6 +166,15 @@ class ImageResult:
     exhaustive: bool
 
 
+def _indexed_target(cls, index: int):
+    """The class member at a target index: a non-bool int in [0, K)."""
+    structured = isinstance(cls, FiniteCofiniteClass)
+    size = cls.size if structured else len(cls.concepts)
+    if isinstance(index, bool) or not 0 <= index < size:
+        raise ValueError(f"target index {index!r} is not in [0, {size})")
+    return cls.concept_at(index) if structured else cls.concepts[index]
+
+
 def learner_image(
     cls: ConceptClass,
     order: Sequence[int] | None,
@@ -192,7 +201,7 @@ def learner_image(
             "structured classes have no exhaustive image; materialize first"
         )
     if isinstance(target, int):
-        target = cls.concepts[target]
+        target = _indexed_target(cls, target)
     m = cls.domain.size
     if mode == "exhaustive":
         total = sum(math.comb(m, k) for k in range(1, min(n, m) + 1))
@@ -435,10 +444,7 @@ def pac_error_estimate(
     m = cls.m if structured else cls.domain.size
     enumeration_order = learner.kind == "enumeration" and learner.order is not None
     if isinstance(target, int):
-        if structured:
-            target = cls.concept_at(target)
-        else:
-            target = cls.concepts[target]
+        target = _indexed_target(cls, target)
     if structured:
         if not isinstance(target, FCSet):
             raise ValueError("structured classes take FCSet targets")

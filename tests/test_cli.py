@@ -1,4 +1,5 @@
-"""End-to-end command-line checks through real subprocesses."""
+"""End-to-end command-line checks, through real subprocesses and, where
+one test tries many configs or generators, in process through cli.main."""
 
 import json
 import subprocess
@@ -11,11 +12,16 @@ import thickvc
 from thickvc import (
     ClusterFamily,
     Concept,
+    cli,
+    gen_cluster_decorated,
+    gen_finite_cofinite,
     gen_intervals,
     gen_power_set,
+    gen_random,
+    gen_thresholds,
     is_strongly_shattered,
 )
-from thickvc.formats import read_class, save_class, save_point_set
+from thickvc.formats import dump_class, read_class, save_class, save_point_set
 
 
 def run_cli(*argv, cwd=None):
@@ -31,6 +37,15 @@ def run_cli(*argv, cwd=None):
 
 def records(stdout: str) -> list[dict]:
     return [json.loads(line) for line in stdout.splitlines() if line]
+
+
+def main_on_config(capsys, cfg, command, doc):
+    """Exit code, stdout and stderr of an in-process run of `command` on
+    the config `doc`."""
+    cfg.write_text(json.dumps(doc))
+    code = cli.main([command, "--config", str(cfg), "--seed", "1"])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_cli_child_imports_this_checkout(tmp_path):
@@ -78,6 +93,50 @@ def test_gen_random_echoes_seed(tmp_path):
     (rec,) = records(r.stdout)
     assert rec["seed"] == 99
     assert read_class(str(out)).domain.size == 5
+
+
+# gen parameters per family (cluster-decorated also takes a base class)
+# and the library call they stand for
+GEN_CASES = {
+    "finite-cofinite": (
+        {"m": 9, "t": 2}, lambda base: gen_finite_cofinite(9, 2, backend="dense")
+    ),
+    "intervals": ({"m": 7}, lambda base: gen_intervals(7)),
+    "thresholds": ({"m": 6}, lambda base: gen_thresholds(6)),
+    "power-set": ({"r": 3}, lambda base: gen_power_set(3)),
+    "cluster-decorated": (
+        {"cluster_size": 2, "noise": 3, "seed": 5},
+        lambda base: gen_cluster_decorated(base, 2, 3, 5),
+    ),
+    "random": (
+        {"m": 8, "count": 20, "density": 0.4, "seed": 7},
+        lambda base: gen_random(8, 20, 0.4, 7),
+    ),
+}
+
+
+def test_gen_file_equals_config_generator(tmp_path, capsys):
+    # `gen` and a config {"generator": ...} build the same class, the one
+    # the library call builds
+    assert set(GEN_CASES) == set(cli.GENERATORS)
+    base = tmp_path / "base.class"
+    save_class(gen_power_set(3), str(base))
+    for fam, (params, direct) in GEN_CASES.items():
+        out = tmp_path / f"{fam}.class"
+        flags = [f"--out={out}"]
+        flags += [f"--{p.replace('_', '-')}={v}" for p, v in params.items()]
+        gens = [{"family": fam, **params}]
+        if fam == "cluster-decorated":
+            flags.append(f"--base={base}")
+            power_set = {"family": "power-set", "r": 3}
+            gens = [{**gens[0], "base": {"path": "base.class"}},
+                    {**gens[0], "base": {"generator": power_set}}]
+        assert cli.main(["gen", fam, *flags]) == 0
+        assert out.read_text() == dump_class(direct(read_class(str(base))))
+        for g in gens:
+            cls = cli._class_from_spec({"generator": g}, str(tmp_path))
+            assert dump_class(cls) == out.read_text(), g
+    capsys.readouterr()
 
 
 def test_vc_certificate_revalidates(tmp_path):
@@ -260,7 +319,7 @@ def test_pac_sim_deterministic_across_jobs(tmp_path):
     assert header.startswith("target_index,n,trials,mean_error")
 
 
-def test_pac_sim_rejects_unknown_keys(tmp_path):
+def test_pac_sim_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "pac.json"
     # "epsilon" in place of "epsilons" would otherwise pass silently
     typo = {k: v for k, v in PAC_CFG.items() if k != "epsilons"}
@@ -273,6 +332,60 @@ def test_pac_sim_rejects_unknown_keys(tmp_path):
     r = run_cli("pac-sim", "--config", str(cfg), "--seed", "1")
     assert r.returncode == 2
     assert "learner key(s): oder" in r.stderr and r.stdout == ""
+    # every nested object is strict and every count a JSON integer
+    iv = {"family": "intervals", "m": 6}
+    good = {
+        "class": {"generator": iv},
+        "measure": {"type": "uniform"},
+        "targets": [{"index": 0}],
+        "n_grid": [4],
+        "trials": 20,
+    }
+    assert main_on_config(capsys, cfg, "pac-sim", good)[0] == 0
+    decorated = {"family": "cluster-decorated", "cluster_size": 2, "noise": 1,
+                 "seed": 1}
+    uniform = {"type": "uniform"}
+    bad = [
+        ("class", {"generator": iv, "bogus": 1}),
+        ("class", {}),
+        ("class", {"path": "x.class", "generator": iv}),
+        ("class", {"generator": {**iv, "bogus": 1}}),
+        ("class", {"generator": {"family": "intervals"}}),
+        ("class", {"generator": {"family": "hexagons", "m": 6}}),
+        ("class", {"generator": {**iv, "m": 6.0}}),
+        ("class", {"generator": {**decorated, "base": {"generator": {**iv, "x": 1}}}}),
+        ("class", {"generator": {**decorated, "base": {"path": "x", "generator": iv}}}),
+        ("class", {"generator": {"family": "random", "m": 6, "count": 9,
+                                 "density": "0.5", "seed": 1}}),
+        ("measure", {**uniform, "weights_typo": [1]}),
+        ("measure", {"type": "uniform-on"}),
+        ("measure", {"type": "explicit", "weights": [True] * 6}),
+        ("measure", {"type": "mixture", "components": [{**uniform, "x": 1}],
+                     "coefficients": [1]}),
+        ("measure", {"type": "mixture", "components": [uniform]}),
+        ("measure", {"type": "gaussian"}),
+        ("targets", [{"index": 0, "extra": 3}]),
+        ("targets", [{"index": 0, "points": [1]}]),
+        ("targets", [{}]),
+        ("targets", [{"kind": "finite"}]),
+        ("targets", [{"points": [0.0]}]),
+        ("learner", {"kind": "enumeration", "order": [0.5]}),
+        ("n_grid", [4.7]),
+        ("n_grid", 4),
+        ("trials", 20.9),
+        ("trials", True),
+        ("trials", None),
+        ("epsilons", ["0.1"]),
+        ("epsilons", [True]),
+        ("no_hypothesis", 1),
+    ]
+    for key, value in bad:
+        doc = {**good, key: value}
+        if value is None:
+            del doc[key]
+        code, out, err = main_on_config(capsys, cfg, "pac-sim", doc)
+        # refused by the config reader, not by a later library check
+        assert (code, out) == (2, "") and "input error" in err, (key, value)
 
 
 def test_pac_sim_rejects_order_on_adversarial_learner(tmp_path):
@@ -291,7 +404,7 @@ def test_pac_sim_rejects_order_on_adversarial_learner(tmp_path):
     assert "takes no order" in r.stderr and r.stdout == ""
 
 
-def test_pac_sim_rejects_structured_target_outside_class(tmp_path):
+def test_pac_sim_rejects_structured_target_outside_class(tmp_path, capsys):
     cfg = tmp_path / "pac.json"
     # a cofinite core of 3 points on a t = 2 class is not a class member
     bad = {**PAC_CFG, "targets": [{"kind": "cofinite", "core": [1, 5, 9]}]}
@@ -299,9 +412,15 @@ def test_pac_sim_rejects_structured_target_outside_class(tmp_path):
     r = run_cli("pac-sim", "--config", str(cfg), "--seed", "1")
     assert r.returncode == 2
     assert "not a member" in r.stderr and r.stdout == ""
+    # an index is a JSON integer in [0, K): not -1 (the last concept), not
+    # true (concept 1), not 2.9 (concept 2)
+    for index in (-1, True, 2.9):
+        bad = {**PAC_CFG, "targets": [{"index": index}]}
+        code, out, _ = main_on_config(capsys, cfg, "pac-sim", bad)
+        assert (code, out) == (2, ""), index
 
 
-def test_ugc_sim_rejects_unknown_keys(tmp_path):
+def test_ugc_sim_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "ugc.json"
     cfg.write_text(json.dumps({
         "class": {"generator": {"family": "power-set", "r": 3}},
@@ -314,6 +433,18 @@ def test_ugc_sim_rejects_unknown_keys(tmp_path):
     r = run_cli("ugc-sim", "--config", str(cfg), "--seed", "1")
     assert r.returncode == 2
     assert "key(s): epsilons" in r.stderr and r.stdout == ""
+    good = {**json.loads(cfg.read_text())}
+    del good["epsilons"]
+    assert main_on_config(capsys, cfg, "ugc-sim", good)[0] == 0
+    for key, value in (
+        ("measures", [{"type": "uniform", "weights": [1, 0, 0]}]),
+        ("measures", [{"type": "mixture", "components": [{"type": "uniform",
+                       "support": [0]}], "coefficients": [1.0]}]),
+        ("epsilon", "0.25"),
+        ("trials", 10.0),
+    ):
+        code, out, err = main_on_config(capsys, cfg, "ugc-sim", {**good, key: value})
+        assert (code, out) == (2, "") and "input error" in err, (key, value)
 
 
 def test_ugc_sim_deterministic_across_jobs(tmp_path):

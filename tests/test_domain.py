@@ -8,8 +8,8 @@ from thickvc import (
     DomainMismatch,
     PrincipalIdeal,
     restrict,
-    validate_class,
 )
+from thickvc.domain import validate_class
 
 
 def test_domain_validation():

@@ -15,7 +15,6 @@ from thickvc import (
     Domain,
     FiniteCofiniteClass,
     WorkLimitExceeded,
-    assemble_ugc_point,
     derive_rng,
     empirical_sup_deviation,
     gen_finite_cofinite,
@@ -29,6 +28,7 @@ from thickvc import (
     ugc_curve,
     uniform,
 )
+from thickvc.empirics import assemble_ugc_point
 from thickvc.measures import _draw_indices
 
 

@@ -13,11 +13,10 @@ from thickvc import (
     NoConsistentHypothesis,
     derive_rng,
     fc_distance,
-    fc_measure,
     gen_finite_cofinite,
     uniform,
 )
-from thickvc.fincofin import comb_rank, comb_unrank
+from thickvc.fincofin import comb_rank, comb_unrank, fc_measure
 
 
 def dense_sets(m, t):

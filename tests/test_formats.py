@@ -7,14 +7,16 @@ from thickvc import (
     ConceptClass,
     Domain,
     FormatError,
-    dump_class,
-    dump_point_set,
-    load_class,
-    load_point_set,
     read_class,
     read_point_set,
     save_class,
     save_point_set,
+)
+from thickvc.formats import (
+    dump_class,
+    dump_point_set,
+    load_class,
+    load_point_set,
 )
 
 

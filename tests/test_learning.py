@@ -13,10 +13,8 @@ from thickvc import (
     Domain,
     FCSet,
     FiniteCofiniteClass,
-    LabeledSample,
     LearnerSpec,
     NoConsistentHypothesis,
-    SampleSeq,
     WorkLimitExceeded,
     adversarial_consistent_learner,
     derive_rng,
@@ -24,14 +22,14 @@ from thickvc import (
     gen_finite_cofinite,
     gen_intervals,
     gen_random,
-    label_sample,
     learner_image,
     pac_error_estimate,
     sample_complexity_bound,
     symdiff_distance,
     uniform,
 )
-from thickvc.measures import _draw_indices
+from thickvc.learning import LabeledSample, label_sample
+from thickvc.measures import SampleSeq, _draw_indices
 
 
 def test_labeled_sample_validation():
@@ -321,7 +319,7 @@ def test_pac_estimate_no_hypothesis_policies():
         pac_error_estimate(cls, spec, tgt, mu, 8, 0, 5)
 
 
-def test_pac_estimate_target_type_checks():
+def test_pac_estimate_target_type_checks(monkeypatch):
     sc = FiniteCofiniteClass(8, 1)
     dense = gen_finite_cofinite(8, 1, backend="dense")
     mu = uniform(8)
@@ -330,6 +328,20 @@ def test_pac_estimate_target_type_checks():
         pac_error_estimate(sc, spec, Concept.empty(8), mu, 4, 5, 1)
     with pytest.raises(ValueError):
         pac_error_estimate(dense, spec, FCSet(8, "finite", frozenset()), mu, 4, 5, 1)
+    # an int target is a class index in [0, K): -1 would pick the last
+    # concept and True concept 1; both are refused, like K itself, before
+    # any sample is drawn
+    monkeypatch.setattr(learning, "_draw_indices", _no_draws)
+    for cls, k in ((sc, sc.size), (dense, len(dense.concepts))):
+        for bad in (-1, True, False, k):
+            with pytest.raises(ValueError, match="target index"):
+                pac_error_estimate(cls, spec, bad, mu, 4, 5, 1)
+    for bad in (-1, True, len(dense.concepts)):
+        with pytest.raises(ValueError, match="target index"):
+            learner_image(dense, None, bad, 2)
+    assert learner_image(dense, None, 1, 2) == learner_image(
+        dense, None, dense.concepts[1], 2
+    )
 
 
 def test_adversarial_defeats_consistency_when_class_is_rich():

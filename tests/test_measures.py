@@ -11,13 +11,11 @@ from thickvc import (
     DomainMismatch,
     derive_rng,
     mixture,
-    point_mass,
-    sample_iid,
     symdiff_distance,
     uniform,
     uniform_on,
 )
-from thickvc.measures import _draw_indices
+from thickvc.measures import _draw_indices, point_mass, sample_iid
 
 
 def test_basic_properties():

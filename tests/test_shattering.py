@@ -22,14 +22,12 @@ from thickvc import (
     gen_thresholds,
     is_strongly_shattered,
     restrict,
-    sauer_bound,
-    sauer_shelah_ok,
-    trace_count,
     vc_after_removal,
     vc_dimension,
     vc_mod_ideal,
     vc_thick,
 )
+from thickvc.shattering import sauer_bound, sauer_shelah_ok, trace_count
 
 
 def brute_vc(concept_sets, m):
