@@ -172,6 +172,18 @@ def _max_family(
     zero bitset prunes the whole branch. Every prefix of a valid family is
     valid, so in-order DFS reaches the lex-least family of each size first.
 
+    Two counting cuts drop branches that cannot beat the best depth found:
+    - early stop: once the best depth reaches n_cap the whole search ends;
+    - count cut: a child at depth d+1 must split best-d more times to go
+      deeper than best, and the two sides of a split are disjoint and
+      nonempty, so each of its bitsets needs at least 2^(best-d) concepts
+      (the counting step of Sauer-Shelah); likewise a node needs at least
+      best+1-d candidates left to try.
+    The best family only changes on a strictly deeper one, and the cuts
+    drop only branches that cannot give one, so the search meets the same
+    lex-least witness as the uncut DFS. Nodes count extension attempts
+    (candidates tried that miss the chosen union); the cuts use fewer.
+
     Returns (n, chosen candidate positions, nodes used).
     """
     contains: list[int] = []
@@ -186,6 +198,7 @@ def _max_family(
     full = (1 << len(concept_masks)) - 1
     if not full:
         return 0, (), 0
+    n_keep = len(keep)
     best_depth = 0
     best_chosen: tuple[int, ...] = ()
     nodes = 0
@@ -198,7 +211,9 @@ def _max_family(
             best_chosen = chosen
         if depth >= n_cap:
             return
-        for j in range(start, len(keep)):
+        for j in range(start, n_keep):
+            if n_keep - j <= best_depth - depth:
+                return  # too few candidates left to go deeper than best
             a = candidates[keep[j]]
             if union & a:
                 continue
@@ -209,22 +224,38 @@ def _max_family(
                 )
             db = disjoint[j]
             cb = contains[j]
+            need = 1 << (best_depth - depth)
             lo: list[int] = []
             hi: list[int] = []
             ok = True
-            for bs in pats:
-                x = bs & db
-                if not x:
-                    ok = False
-                    break
-                y = bs & cb
-                if not y:
-                    ok = False
-                    break
-                lo.append(x)
-                hi.append(y)
+            if need > 1:
+                for bs in pats:
+                    x = bs & db
+                    if x.bit_count() < need:
+                        ok = False
+                        break
+                    y = bs & cb
+                    if y.bit_count() < need:
+                        ok = False
+                        break
+                    lo.append(x)
+                    hi.append(y)
+            else:
+                for bs in pats:
+                    x = bs & db
+                    if not x:
+                        ok = False
+                        break
+                    y = bs & cb
+                    if not y:
+                        ok = False
+                        break
+                    lo.append(x)
+                    hi.append(y)
             if ok:
                 rec(j + 1, chosen + (keep[j],), union | a, lo + hi)
+                if best_depth >= n_cap:
+                    return  # nothing can beat a family of the cap's size
 
     rec(0, (), 0, [full])
     return best_depth, best_chosen, nodes

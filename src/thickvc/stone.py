@@ -15,12 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .domain import (
     ClusterFamily,
     Concept,
     ConceptClass,
     Domain,
     PrincipalIdeal,
+    membership_matrix,
 )
 from .errors import DomainMismatch
 from .shattering import (
@@ -80,13 +83,11 @@ def generated_partition(
     for g in generators:
         if g.m != m:
             raise DomainMismatch(f"generator width {g.m} does not match domain {m}")
-    sig_to_pos: dict[int, int] = {}
+    # row i of `cols` packs point i's membership column across the generators
+    cols = np.packbits(membership_matrix([g.bits for g in generators], m).T, axis=1)
+    sig_to_pos: dict[bytes, int] = {}
     blocks_bits: list[int] = []
-    for i in range(m):
-        sig = 0
-        for g, c in enumerate(generators):
-            if c.bits >> i & 1:
-                sig |= 1 << g
+    for i, sig in enumerate(map(bytes, cols)):
         pos = sig_to_pos.get(sig)
         if pos is None:
             sig_to_pos[sig] = len(blocks_bits)

@@ -7,14 +7,24 @@ pytest's output capture.
 cli_env() is the environment for every CLI subprocess: this checkout's
 src/ comes first on PYTHONPATH, so a child started from any working
 directory imports the same thickvc as the test process.
+
+The "oracles" hypothesis profile is the fixed, derandomized profile of the
+property tests in test_oracles.py: the same examples on every run, no
+per-example deadline.
 """
 
 import os
 from pathlib import Path
 
+from hypothesis import settings
+
 RESULTS: list[str] = []
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+settings.register_profile(
+    "oracles", derandomize=True, deadline=None, max_examples=150, database=None
+)
 
 
 def cli_env() -> dict[str, str]:

@@ -238,7 +238,7 @@ def test_exit_codes(tmp_path):
     assert run_cli("vc", "--class", str(bad)).returncode == 2
     # 3: work limit
     big = tmp_path / "big.class"
-    save_class(gen_power_set(8), str(big))
+    save_class(gen_intervals(30), str(big))
     r = run_cli("vc", "--class", str(big), "--work-limit", "10")
     assert r.returncode == 3
     # 2: malformed simulation config

@@ -27,7 +27,7 @@ from thickvc import (
     vc_mod_ideal,
     vc_thick,
 )
-from thickvc.shattering import sauer_bound, sauer_shelah_ok, trace_count
+from thickvc.shattering import _max_family, sauer_bound, sauer_shelah_ok, trace_count
 
 
 def brute_vc(concept_sets, m):
@@ -159,7 +159,13 @@ def test_vc_empty_class_and_work_limit():
     with pytest.raises(EmptyClassError):
         vc_dimension(ConceptClass(Domain(3), ()))
     with pytest.raises(WorkLimitExceeded):
-        vc_dimension(gen_power_set(8), work_limit=10)
+        vc_dimension(gen_intervals(30), work_limit=10)
+    # the search stops once a family reaches the cap: 8 nodes for 8 points
+    assert vc_dimension(gen_power_set(8), work_limit=10) == 8
+    masks = sorted(c.bits for c in gen_power_set(8).concepts)
+    assert _max_family(masks, [1 << p for p in range(8)], 8, 10) == (
+        8, tuple(range(8)), 8
+    )
 
 
 def test_strong_shattering_matches_brute_force():

@@ -60,6 +60,54 @@ def test_generated_partition_no_generators():
     assert len(part) == 1 and part.blocks[0] == Concept.full(5)
 
 
+def reference_partition(m, generators):
+    """The per-point signature loop generated_partition replaced, kept as
+    the oracle for its blocks and their first-occurrence order."""
+    sig_to_pos = {}
+    blocks_bits = []
+    for i in range(m):
+        sig = 0
+        for g, c in enumerate(generators):
+            if c.bits >> i & 1:
+                sig |= 1 << g
+        pos = sig_to_pos.get(sig)
+        if pos is None:
+            sig_to_pos[sig] = len(blocks_bits)
+            blocks_bits.append(1 << i)
+        else:
+            blocks_bits[pos] |= 1 << i
+    return blocks_bits
+
+
+def partition_cases():
+    yield 5, []  # no generators
+    yield 1, []
+    yield 1, [Concept(1, 1)]
+    yield 1, [Concept(1, 0), Concept(1, 1)]
+    yield 8, [Concept(8, 0b10110010)]
+    yield 8, [Concept(8, 0b10110010)] * 9  # more generators than a byte
+    for m in (3, 7, 9, 13, 17, 23):  # widths that are not multiples of 8
+        rng = derive_rng(4242, "partition", m)
+        for count in (1, 8, 9, 40):
+            density = float(rng.uniform(0.1, 0.9))
+            gens = list(gen_random(m, count, density, seed=m * 100 + count).concepts)
+            # duplicate columns: point m-1 copies point 0 in every generator
+            top = 1 << m - 1
+            dup = [Concept(m, c.bits & ~top | (c.bits & 1) * top) for c in gens]
+            for neg in (Concept.empty(m), Concept.full(m)):
+                yield m, gens + [neg]
+                yield m, dup + [neg]
+    cls = gen_intervals(83)
+    yield 83, list(cls.concepts) + [Concept(83, (1 << 83) - 1 - 1023)]
+
+
+def test_generated_partition_matches_reference_loop():
+    for m, gens in partition_cases():
+        part = generated_partition(Domain(m), gens)
+        want = reference_partition(m, gens)
+        assert [b.bits for b in part.blocks] == want, (m, len(gens))
+
+
 def test_generated_partition_width_mismatch():
     with pytest.raises(DomainMismatch):
         generated_partition(Domain(4), [Concept.empty(5)])
