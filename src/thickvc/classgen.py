@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .domain import Concept, ConceptClass, Domain
+from .domain import Concept, ConceptClass, Domain, pack_rows
 from .errors import WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
 from .rng import derive_rng
@@ -172,11 +172,5 @@ def gen_random(m: int, count: int, density: float, seed: int) -> ConceptClass:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = derive_rng(seed, "gen-random")
     rows = rng.random((count, m)) < density
-    concepts = []
-    for row in rows:
-        bits = 0
-        for i in range(m):
-            if row[i]:
-                bits |= 1 << i
-        concepts.append(Concept(m, bits))
+    concepts = [Concept(m, bits) for bits in pack_rows(rows)]
     return ConceptClass.create(Domain(m), concepts, dedup=True)

@@ -63,6 +63,14 @@ def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, bitorder="little")[:, :m].astype(bool)
 
 
+def pack_rows(matrix: np.ndarray) -> list[int]:
+    """Inverse of membership_matrix: each row packed little-endian into an
+    int, column j as bit j. On a transposed membership matrix, entry p is
+    the bitset of the masks that hold point p."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 @dataclass(frozen=True, order=False)
 class Concept:
     """A subset of a size-m domain, as an m-bit membership mask."""
@@ -232,7 +240,8 @@ def restrict(cls: ConceptClass, keep: Concept | Iterable[int]) -> ConceptClass:
     """Trace a class onto a point subset, renumbering kept points in order.
 
     Point k of the new domain is the k-th smallest kept index. Duplicate
-    traces are retained so enumeration order survives restriction.
+    traces are retained so enumeration order survives restriction. Points
+    must be ints (bools are refused) inside the domain.
     """
     m = cls.domain.size
     if isinstance(keep, Concept):
@@ -240,7 +249,11 @@ def restrict(cls: ConceptClass, keep: Concept | Iterable[int]) -> ConceptClass:
             raise DomainMismatch("restriction set lives on a different domain")
         kept = list(bits_of(keep.bits))
     else:
-        kept = sorted(set(keep))
+        keep = list(keep)
+        for i in keep:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"restriction point {i!r} is not an int")
+        kept = sorted({int(i) for i in keep})
         if kept and not (0 <= kept[0] and kept[-1] < m):
             raise ValueError("restriction point out of range")
     new_m = len(kept)
@@ -250,14 +263,8 @@ def restrict(cls: ConceptClass, keep: Concept | Iterable[int]) -> ConceptClass:
     if cls.domain.labels is not None:
         labels = tuple(cls.domain.labels[i] for i in kept)
     new_domain = Domain(new_m, labels)
-    traced = []
-    for c in cls.concepts:
-        bits = 0
-        for pos, i in enumerate(kept):
-            if c.bits >> i & 1:
-                bits |= 1 << pos
-        traced.append(Concept(new_m, bits))
-    return ConceptClass(new_domain, tuple(traced), dedup=False)
+    traced = pack_rows(membership_matrix(cls.masks(), m)[:, kept])
+    return ConceptClass(new_domain, tuple(Concept(new_m, b) for b in traced))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,11 @@ points). Carving a canonical witness family out of a carver map closes it.
 
 Concepts are m-bit masks throughout. Inside the family search a second kind
 of mask appears: bitsets over concept INDICES, so "which concepts can still
-serve pattern J" is one big int and every refinement is a single AND.
+serve pattern J" is one big int and every refinement is a single AND. The
+point columns (`pack_rows` of the transposed membership matrix, entry p the
+bitset of the concepts holding point p) build them: a cluster lies inside
+the concepts in the AND of its points' columns and misses those outside
+their OR.
 """
 
 from __future__ import annotations
@@ -20,7 +24,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .domain import ClusterFamily, Concept, ConceptClass, PrincipalIdeal
+from .domain import (
+    ClusterFamily,
+    Concept,
+    ConceptClass,
+    PrincipalIdeal,
+    bits_of,
+    membership_matrix,
+    pack_rows,
+)
 from .errors import DomainMismatch, EmptyWitness, WorkLimitExceeded
 
 # node budget shared by all exact searches unless a caller overrides it
@@ -126,25 +138,22 @@ def vc_dimension(
 # family search internals
 
 
-def _side_bitsets(concept_masks: list[int], cluster_mask: int) -> tuple[int, int]:
+def _side_bitsets(cols: list[int], full: int, cluster_mask: int) -> tuple[int, int]:
     # bit k of `cb` set iff cluster inside concept k; of `db` iff disjoint from it
-    cb = 0
-    db = 0
-    for k, mk in enumerate(concept_masks):
-        if cluster_mask & ~mk == 0:
-            cb |= 1 << k
-        if cluster_mask & mk == 0:
-            db |= 1 << k
-    return cb, db
+    cb = full
+    hit = 0
+    for p in bits_of(cluster_mask):
+        cb &= cols[p]
+        hit |= cols[p]
+    return cb, full & ~hit
 
 
-def _family_carvers(
-    concept_masks: list[int], family_masks: list[int]
-) -> dict[int, int] | None:
+def _family_carvers(cls: ConceptClass, family_masks: list[int]) -> dict[int, int] | None:
     """Least-index carver per pattern, or None if some pattern has none."""
     n = len(family_masks)
-    sides = [_side_bitsets(concept_masks, a) for a in family_masks]
-    full = (1 << len(concept_masks)) - 1
+    cols = pack_rows(membership_matrix(cls.masks(), cls.domain.size).T)
+    full = (1 << len(cls.concepts)) - 1
+    sides = [_side_bitsets(cols, full, a) for a in family_masks]
     carvers: dict[int, int] = {}
     for pat in range(1 << n):
         bs = full
@@ -186,18 +195,20 @@ def _max_family(
 
     Returns (n, chosen candidate positions, nodes used).
     """
+    full = (1 << len(concept_masks)) - 1
+    if not full:
+        return 0, (), 0
+    width = max(map(int.bit_length, concept_masks + candidates))
+    cols = pack_rows(membership_matrix(concept_masks, width).T)
     contains: list[int] = []
     disjoint: list[int] = []
     keep: list[int] = []
     for pos, a in enumerate(candidates):
-        cb, db = _side_bitsets(concept_masks, a)
+        cb, db = _side_bitsets(cols, full, a)
         if cb and db:  # a cluster no concept contains (or none avoids) is dead
             keep.append(pos)
             contains.append(cb)
             disjoint.append(db)
-    full = (1 << len(concept_masks)) - 1
-    if not full:
-        return 0, (), 0
     n_keep = len(keep)
     best_depth = 0
     best_chosen: tuple[int, ...] = ()
@@ -228,30 +239,17 @@ def _max_family(
             lo: list[int] = []
             hi: list[int] = []
             ok = True
-            if need > 1:
-                for bs in pats:
-                    x = bs & db
-                    if x.bit_count() < need:
-                        ok = False
-                        break
-                    y = bs & cb
-                    if y.bit_count() < need:
-                        ok = False
-                        break
-                    lo.append(x)
-                    hi.append(y)
-            else:
-                for bs in pats:
-                    x = bs & db
-                    if not x:
-                        ok = False
-                        break
-                    y = bs & cb
-                    if not y:
-                        ok = False
-                        break
-                    lo.append(x)
-                    hi.append(y)
+            for bs in pats:
+                x = bs & db
+                if x.bit_count() < need:
+                    ok = False
+                    break
+                y = bs & cb
+                if y.bit_count() < need:
+                    ok = False
+                    break
+                lo.append(x)
+                hi.append(y)
             if ok:
                 rec(j + 1, chosen + (keep[j],), union | a, lo + hi)
                 if best_depth >= n_cap:
@@ -267,7 +265,7 @@ def _certificate(
     """Certificate for a strongly shattered family of cluster masks: a
     "points" witness is their union, a "clusters" witness the family."""
     m = cls.domain.size
-    carvers = _family_carvers([c.bits for c in cls.concepts], family)
+    carvers = _family_carvers(cls, family)
     if kind == "points":
         witness = Concept(m, sum(family))
     else:
@@ -292,10 +290,10 @@ def _point_search(
     traces on the allowed points are needed to shatter n of them.
     """
     traces = sorted({c.bits & allowed for c in cls.concepts})
-    blocks: dict[tuple[int, ...], int] = {}
-    for p in range(cls.domain.size):
-        if allowed >> p & 1:
-            blocks.setdefault(tuple(t >> p & 1 for t in traces), p)
+    cols = pack_rows(membership_matrix(traces, cls.domain.size).T)
+    blocks: dict[int, int] = {}
+    for p in bits_of(allowed):
+        blocks.setdefault(cols[p], p)
     candidates = [1 << p for p in blocks.values()]
     n_cap = min(len(candidates), len(traces).bit_length() - 1)
     n, chosen, _ = _max_family(traces, candidates, n_cap, work_limit)
@@ -315,9 +313,7 @@ def is_strongly_shattered(
     """
     if family.domain.size != cls.domain.size:
         raise DomainMismatch("family lives on a different domain")
-    carvers = _family_carvers(
-        [c.bits for c in cls.concepts], [a.bits for a in family.clusters]
-    )
+    carvers = _family_carvers(cls, [a.bits for a in family.clusters])
     if carvers is None:
         return False, None
     return True, carvers

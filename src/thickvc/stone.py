@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .domain import (
     ClusterFamily,
     Concept,
@@ -24,6 +22,8 @@ from .domain import (
     Domain,
     PrincipalIdeal,
     membership_matrix,
+    pack_rows,
+    restrict,
 )
 from .errors import DomainMismatch
 from .shattering import (
@@ -83,11 +83,11 @@ def generated_partition(
     for g in generators:
         if g.m != m:
             raise DomainMismatch(f"generator width {g.m} does not match domain {m}")
-    # row i of `cols` packs point i's membership column across the generators
-    cols = np.packbits(membership_matrix([g.bits for g in generators], m).T, axis=1)
-    sig_to_pos: dict[bytes, int] = {}
+    # entry i of `cols` is point i's membership column across the generators
+    cols = pack_rows(membership_matrix([g.bits for g in generators], m).T)
+    sig_to_pos: dict[int, int] = {}
     blocks_bits: list[int] = []
-    for i, sig in enumerate(map(bytes, cols)):
+    for i, sig in enumerate(cols):
         pos = sig_to_pos.get(sig)
         if pos is None:
             sig_to_pos[sig] = len(blocks_bits)
@@ -112,7 +112,8 @@ def induced_on_quotient(
     """Concept class traced onto surviving atoms, one point per atom.
 
     Membership is well defined because each atom lies entirely inside or
-    outside every generator, and the concepts are generators. Returns
+    outside every generator, and the concepts are generators, so the class
+    is the restriction to the least point of each atom. Returns
     (None, quotient) when nothing survives. Concept order (and duplicates)
     is preserved, so induced indices equal original indices.
     """
@@ -125,16 +126,8 @@ def induced_on_quotient(
     q = quotient_space(part, ideal)
     if not q.surviving:
         return None, q
-    qm = len(q.surviving)
-    qdomain = Domain(qm)
-    out = []
-    for c in cls.concepts:
-        bits = 0
-        for a, blk in enumerate(q.surviving):
-            if blk.issubset(c):
-                bits |= 1 << a
-        out.append(Concept(qm, bits))
-    return ConceptClass(qdomain, tuple(out)), q
+    traced = restrict(cls, [blk.indices()[0] for blk in q.surviving])
+    return ConceptClass(Domain(len(q.surviving)), traced.concepts), q
 
 
 def vc_on_stone(

@@ -57,6 +57,18 @@ def note(ok: bool, label: str, detail: str) -> bool:
     return ok
 
 
+def battery_instance(trial):
+    """Instance `trial` of the criterion-1 battery: (class, N's points, ideal)."""
+    rng = derive_rng(112233, "acc", trial)
+    m = int(rng.integers(2, 11))
+    count = int(rng.integers(1, 41))
+    density = float(rng.uniform(0.15, 0.85))
+    cls = gen_random(m, count, density, seed=900_000 + trial)
+    nsize = int(rng.integers(0, m))  # never the whole domain
+    npts = sorted(int(x) for x in rng.permutation(m)[:nsize])
+    return cls, npts, PrincipalIdeal(Concept.from_indices(m, npts))
+
+
 @pytest.fixture(scope="module")
 def cross_validation_battery():
     """500 random (class, negligible set) instances, all three routes."""
@@ -65,14 +77,8 @@ def cross_validation_battery():
     witness_failures = []
     positive = 0
     for trial in range(500):
-        rng = derive_rng(112233, "acc", trial)
-        m = int(rng.integers(2, 11))
-        count = int(rng.integers(1, 41))
-        density = float(rng.uniform(0.15, 0.85))
-        cls = gen_random(m, count, density, seed=900_000 + trial)
-        nsize = int(rng.integers(0, m))  # never the whole domain
-        npts = sorted(int(x) for x in rng.permutation(m)[:nsize])
-        ideal = PrincipalIdeal(Concept.from_indices(m, npts))
+        cls, npts, ideal = battery_instance(trial)
+        m = cls.domain.size
         vm, cert_m = vc_mod_ideal(cls, ideal, want_certificate=True)
         vs, cert_s = vc_on_stone(cls, ideal, want_certificate=True)
         keep = [p for p in range(m) if p not in set(npts)]
@@ -110,6 +116,42 @@ def test_criterion_1_three_routes_agree(cross_validation_battery):
         f"({len(b['mismatches'])} mismatches) in {b['elapsed']:.1f}s < 120s",
     )
     assert ok, b["mismatches"]
+
+
+def brute_vc_outside(concept_sets, outside):
+    """Largest k with a k-subset of `outside` on which the sets cut all 2^k
+    traces, by frozenset enumeration. Shattering is closed under subsets,
+    so the first k with no shattered subset ends the scan."""
+    best = 0
+    for k in range(1, len(outside) + 1):
+        if not any(
+            len({frozenset(pts) & c for c in concept_sets}) == 2**k
+            for pts in itertools.combinations(outside, k)
+        ):
+            break
+        best = k
+    return best
+
+
+def test_criterion_1_routes_match_brute_force():
+    """Each route of criterion 1 against subset enumeration off N, on the
+    same 500 instances. The quotient and restriction routes share
+    `restrict`, so this catches a fault there that criterion 1's
+    agreement check alone would miss."""
+    wrong = []
+    for trial in range(500):
+        cls, npts, ideal = battery_instance(trial)
+        sets = [frozenset(c.indices()) for c in cls.concepts]
+        outside = [p for p in range(cls.domain.size) if p not in npts]
+        want = brute_vc_outside(sets, outside)
+        got = (
+            vc_mod_ideal(cls, ideal),
+            vc_on_stone(cls, ideal),
+            vc_dimension(restrict(cls, outside)),
+        )
+        if got != (want,) * 3:
+            wrong.append((trial, want, got))
+    assert not wrong, wrong[:5]
 
 
 def test_criterion_2_witnesses_revalidate(cross_validation_battery):

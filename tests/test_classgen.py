@@ -12,6 +12,7 @@ from thickvc import (
     FiniteCofiniteClass,
     PrincipalIdeal,
     WorkLimitExceeded,
+    derive_rng,
     gen_cluster_decorated,
     gen_finite_cofinite,
     gen_intervals,
@@ -101,6 +102,29 @@ def test_random_density_extremes():
     assert len(empty.concepts) == 1 and empty.concepts[0].size == 0
     full = gen_random(6, 5, 1.0, seed=1)
     assert len(full.concepts) == 1 and full.concepts[0].size == 6
+
+
+def reference_random(m, count, density, seed):
+    """The per-row bit loop gen_random replaced, kept as its oracle."""
+    rows = derive_rng(seed, "gen-random").random((count, m)) < density
+    masks = []
+    for row in rows:
+        bits = 0
+        for i in range(m):
+            if row[i]:
+                bits |= 1 << i
+        if bits not in masks:
+            masks.append(bits)
+    return masks
+
+
+def test_random_matches_reference_loop():
+    for m in (1, 8, 9, 65):
+        for density in (0.0, 0.3, 0.5, 1.0):
+            for seed in (1, 2):
+                cls = gen_random(m, 30, density, seed)
+                want = reference_random(m, 30, density, seed)
+                assert [c.bits for c in cls.concepts] == want, (m, density, seed)
 
 
 def test_blowup_layout():

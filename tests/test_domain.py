@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from thickvc import (
@@ -7,9 +8,11 @@ from thickvc import (
     Domain,
     DomainMismatch,
     PrincipalIdeal,
+    derive_rng,
+    gen_random,
     restrict,
 )
-from thickvc.domain import validate_class
+from thickvc.domain import membership_matrix, pack_rows, validate_class
 
 
 def test_domain_validation():
@@ -86,6 +89,73 @@ def test_restrict_renumbers_and_keeps_duplicates():
     assert [sorted(c.indices()) for c in r.concepts] == [[0, 1], [0], [0, 1]]
     with pytest.raises(ValueError):
         restrict(cls, [])
+
+
+def test_restrict_refuses_non_int_points():
+    cls = ConceptClass(Domain(4), (Concept.from_indices(4, [1, 2]),))
+    for keep in ([True], [1.5], [0, False]):
+        with pytest.raises(ValueError):
+            restrict(cls, keep)
+    # numpy integers are ints
+    assert restrict(cls, [np.int64(1)]) == restrict(cls, [1])
+
+
+def test_pack_rows_round_trips_membership_matrix():
+    for m in (1, 7, 8, 9, 64, 65):
+        rng = derive_rng(515, "pack", m)
+        rows = rng.random((30, m)) < 0.5
+        rows[0] = False
+        rows[1] = True
+        masks = pack_rows(rows)
+        assert masks[0] == 0 and masks[1] == (1 << m) - 1
+        assert np.array_equal(membership_matrix(masks, m), rows)
+        assert pack_rows(membership_matrix(masks, m)) == masks
+        # the columns: entry p is the bitset of the masks holding point p
+        cols = pack_rows(membership_matrix(masks, m).T)
+        assert cols == [
+            sum(1 << k for k, x in enumerate(masks) if x >> p & 1) for p in range(m)
+        ]
+        assert pack_rows(rows[:0]) == []  # K = 0
+        assert membership_matrix([], m).shape == (0, m)
+    assert pack_rows(np.zeros((3, 0), dtype=bool)) == [0, 0, 0]  # zero columns
+    assert membership_matrix([0, 0], 0).shape == (2, 0)
+
+
+def reference_restrict(cls, keep):
+    """The per-concept bit loop restrict replaced, kept as its oracle."""
+    if isinstance(keep, Concept):
+        kept = list(keep.indices())
+    else:
+        kept = sorted(set(keep))
+    labels = None
+    if cls.domain.labels is not None:
+        labels = tuple(cls.domain.labels[i] for i in kept)
+    traced = []
+    for c in cls.concepts:
+        bits = 0
+        for pos, i in enumerate(kept):
+            if c.bits >> i & 1:
+                bits |= 1 << pos
+        traced.append(Concept(len(kept), bits))
+    return ConceptClass(Domain(len(kept), labels), tuple(traced))
+
+
+def test_restrict_matches_reference_loop():
+    for m in (1, 7, 8, 9, 13, 65):
+        rng = derive_rng(616, "restrict", m)
+        base = gen_random(m, 40, 0.5, seed=m)
+        # duplicate concepts stay, in class order
+        concepts = base.concepts + base.concepts[:5]
+        labels = tuple(f"x{i}" for i in range(m))
+        for domain in (Domain(m), Domain(m, labels)):
+            cls = ConceptClass(domain, concepts)
+            for _ in range(5):
+                size = int(rng.integers(1, m + 1))
+                keep = [int(x) for x in rng.permutation(m)[:size]]
+                want = reference_restrict(cls, keep)
+                assert restrict(cls, keep) == want
+                assert restrict(cls, iter(keep + keep)) == want
+                assert restrict(cls, Concept.from_indices(m, keep)) == want
 
 
 def test_cluster_family_checks():

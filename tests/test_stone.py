@@ -135,6 +135,38 @@ def test_induced_class_preserves_indices():
             assert (a in induced.concepts[k]) == blk.issubset(c)
 
 
+def reference_induced(cls, q):
+    """The per-atom issubset loop induced_on_quotient replaced, kept as its
+    oracle."""
+    qm = len(q.surviving)
+    out = []
+    for c in cls.concepts:
+        bits = 0
+        for a, blk in enumerate(q.surviving):
+            if blk.issubset(c):
+                bits |= 1 << a
+        out.append(Concept(qm, bits))
+    return ConceptClass(Domain(qm), tuple(out))
+
+
+def test_induced_on_quotient_matches_reference_loop():
+    for m in (1, 2, 7, 8, 9, 14):
+        rng = derive_rng(717, "induced", m)
+        base = gen_random(m, 40, 0.5, seed=m)
+        # duplicate concepts: induced index k is original index k
+        concepts = base.concepts + base.concepts[::3]
+        labels = tuple(f"p{i}" for i in range(m))
+        for domain in (Domain(m), Domain(m, labels)):
+            cls = ConceptClass(domain, concepts)
+            perm = [int(x) for x in rng.permutation(m)]
+            # N empty, N all but one point, and a random N
+            for npts in ([], perm[1:], perm[: int(rng.integers(0, m))]):
+                ideal = PrincipalIdeal(Concept.from_indices(m, npts))
+                induced, q = induced_on_quotient(cls, ideal)
+                assert induced == reference_induced(cls, q), (m, npts)
+                assert induced.domain.labels is None
+
+
 def test_induced_none_when_nothing_survives():
     cls = ConceptClass(Domain(3), (Concept.full(3), Concept.empty(3)))
     ideal = PrincipalIdeal(Concept.full(3))
