@@ -43,6 +43,12 @@ class Domain:
         return (1 << self.size) - 1
 
 
+def require_int(value, what: str) -> None:
+    """Refuse a bool or a non-int (numpy integers count as ints)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an int")
+
+
 def _popcount(x: int) -> int:
     return x.bit_count()
 
@@ -251,8 +257,7 @@ def restrict(cls: ConceptClass, keep: Concept | Iterable[int]) -> ConceptClass:
     else:
         keep = list(keep)
         for i in keep:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise ValueError(f"restriction point {i!r} is not an int")
+            require_int(i, "restriction point")
         kept = sorted({int(i) for i in keep})
         if kept and not (0 <= kept[0] and kept[-1] < m):
             raise ValueError("restriction point out of range")

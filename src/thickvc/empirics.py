@@ -67,16 +67,14 @@ def empirical_sup_deviation(
     if n < 1:
         raise ValueError("n must be >= 1")
     structured = isinstance(cls, FiniteCofiniteClass)
-    if structured:
-        m = cls.m
-    else:
+    m = cls.m if structured else cls.domain.size
+    if measure.m != m:
+        raise ValueError("measure and class must share a domain")
+    if not structured:
         cls.require_nonempty()
-        m = cls.domain.size
         mat = membership_matrix(cls.masks(), m).astype(np.float64)
         true_mass = mat @ measure._arr
         chunk = max(1, _GEMM_ENTRIES // mat.size)
-    if measure.m != m:
-        raise ValueError("measure and class must share a domain")
 
     sups = np.empty(trials)
     rng = derive_rng(seed, "dev", *seed_path)

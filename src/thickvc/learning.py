@@ -287,9 +287,11 @@ def _quantile_points(vals: list[float], *, with_min: bool = False) -> dict[str, 
     return out
 
 
-# Trial rows are drawn and checked in blocks of about this many entries per
-# block's largest operand: its uniforms, or the widest per-row work the
-# caller names (m points, or m x K for the dense consistency product). The
+# Trial rows are checked in blocks of about this many entries per block's
+# largest operand: its uniforms, or the widest per-row work the caller names
+# (m points, or m x K for the dense consistency product). They are drawn in
+# chunks of about this many uniforms, a whole number of blocks each, so a
+# wide class does not cut the draws into calls of a few dozen points. The
 # rows are consecutive slices of one stream, so no result depends on it.
 _BLOCK_ENTRIES = 1 << 16
 
@@ -301,8 +303,11 @@ def _sample_blocks(
     sample of trial first + r, row first + r of the cell's trials x n
     stream. width is the caller's work per row."""
     rows = max(1, _BLOCK_ENTRIES // max(n, width))
-    for first in range(0, trials, rows):
-        yield first, _draw_indices(measure, (min(rows, trials - first), n), rng)
+    chunk = max(1, _BLOCK_ENTRIES // max(n, 1) // rows) * rows
+    for top in range(0, trials, chunk):
+        idx = _draw_indices(measure, (min(chunk, trials - top), n), rng)
+        for a in range(0, len(idx), rows):
+            yield top + a, idx[a : a + rows]
 
 
 def _presence_blocks(

@@ -80,6 +80,13 @@ def test_sup_deviation_determinism_and_validation():
         empirical_sup_deviation(cls, uniform(4), 5, 20, 7)
 
 
+def test_sup_deviation_checks_the_domain_first():
+    # both backends refuse before any work, the dense one before its mass product
+    for cls in (gen_intervals(5), FiniteCofiniteClass(5, 1)):
+        with pytest.raises(ValueError, match="share a domain"):
+            empirical_sup_deviation(cls, uniform(6), 5, 10, 1)
+
+
 def test_sup_deviation_shrinks_with_n():
     cls = gen_power_set(4)
     mu = uniform(4)

@@ -4,6 +4,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickvc import (
     Concept,
@@ -117,11 +119,142 @@ def test_draw_past_short_cumsum_lands_on_positive_weight():
     assert idx.tolist() == [6, 6, 6, 6]
 
 
+class _Uniforms:
+    """Generator stub that hands out the given uniforms in one random call."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+        self.calls = 0
+
+    def random(self, n):
+        self.calls += 1
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _reference(mu, u):
+    return np.minimum(np.searchsorted(mu._cum, u, side="right"), mu._last)
+
+
+def _edge_uniforms(mu):
+    """Every bucket edge j/G and its neighbours on both sides, every cumsum
+    value and the float below it, 0 and the largest float below 1."""
+    edges = np.arange(2 * mu.m + 1) / (2 * mu.m)
+    u = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+        mu._cum, np.nextafter(mu._cum, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_draws_match_searchsorted(mu, u):
+    stub = _Uniforms(u)
+    got = _draw_indices(mu, u.size, stub)
+    assert stub.calls == 1
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _reference(mu, u))
+
+
+def _renormalised(k, eps):
+    # k - 1 atoms of 1/k and one of 1/k + eps, off by eps: renormalised
+    mu = DiscreteMeasure((1 / k,) * (k - 1) + (1 / k + eps,) + (0.0,) * 2)
+    assert mu.weights[k - 1] != 1 / k + eps
+    return mu
+
+
+def _cluster():
+    return DiscreteMeasure((1e-12,) * 999 + (1.0 - 999e-12,))
+
+
+EDGE_MEASURES = {
+    "leading zeros": DiscreteMeasure((0.0, 0.0, 0.3, 0.7)),
+    "interior zeros": DiscreteMeasure((0.25, 0.0, 0.0, 0.5, 0.25)),
+    "trailing zeros": DiscreteMeasure((0.5, 0.5, 0.0, 0.0)),
+    "cumsum on bucket edges": uniform(4),
+    "u * G rounding up to the next bucket": uniform(13),
+    "uniform(1000)": uniform(1000),
+    "short cumsum": DiscreteMeasure((1 / 7,) * 7 + (0.0,) * 3),
+    "renormalised below 1": _renormalised(6, 1e-10),
+    "renormalised above 1": _renormalised(9, 1e-10),
+    "point mass at 0": point_mass(5, 0),
+    "point mass at m - 1": point_mass(5, 4),
+    "1e-12 cluster": _cluster(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MEASURES))
+def test_draw_indices_match_searchsorted_at_edges(name):
+    mu = EDGE_MEASURES[name]
+    u = np.concatenate([_edge_uniforms(mu), derive_rng(5, "edges").random(2000)])
+    _assert_draws_match_searchsorted(mu, u)
+
+
+def test_renormalised_cumsums_end_on_both_sides_of_one():
+    assert EDGE_MEASURES["renormalised below 1"]._cum[-1] < 1.0
+    assert EDGE_MEASURES["renormalised above 1"]._cum[-1] > 1.0
+
+
+def test_bucket_of_u_can_start_past_u():
+    # u just below a cumsum value that is itself a bucket edge: u * G rounds
+    # up to that bucket, so the table must start from the bucket before it
+    mu = uniform(13)
+    G = 2 * mu.m
+    u = _edge_uniforms(mu)
+    b = (u * G).astype(np.intp)
+    assert np.any((b / G > u) & np.isin(b / G, mu._cum))
+    _assert_draws_match_searchsorted(mu, u)
+
+
+def test_draw_indices_residual_searchsorted_path():
+    # the 999 light atoms all sit in bucket 0, so a u there starts at index
+    # 0 and two forward steps cannot reach it: searchsorted finishes it
+    mu = _cluster()
+    u = np.concatenate([np.linspace(0.0, 2e-9, 400), derive_rng(6, "c").random(400)])
+    G, start, _ = mu._guide
+    steps = _reference(mu, u) - start[(u * G).astype(np.intp)]
+    assert steps.min() >= 0 and np.count_nonzero(steps > 2) > 300
+    _assert_draws_match_searchsorted(mu, u)
+
+
+def test_guide_table_is_lazy_and_outside_equality():
+    mu, twin = uniform(6), uniform(6)
+    assert "_guide" not in vars(mu)
+    _draw_indices(mu, 3, derive_rng(1, "lazy"))
+    assert "_guide" in vars(mu) and "_guide" not in vars(twin)
+    assert mu == twin and repr(mu) == repr(twin) and hash(mu) == hash(twin)
+
+
+@settings(settings.get_profile("oracles"))
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=80
+    ).filter(lambda w: sum(w) > 0),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+)
+def test_draw_indices_match_searchsorted_property(w, extra):
+    w = np.asarray(w)
+    mu = DiscreteMeasure(tuple(w / w.sum()))
+    _assert_draws_match_searchsorted(mu, np.concatenate([_edge_uniforms(mu), extra]))
+
+
 def test_sample_size_zero_and_negative():
     mu = uniform(3)
     assert sample_iid(mu, 0, 5).points == ()
     with pytest.raises(ValueError):
         sample_iid(mu, -1, 5)
+
+
+def test_point_mass_and_sample_iid_take_strict_ints():
+    # a bool is not an index or a count, and neither is a float
+    for m, i in ((3, True), (3, False), (3, 1.0), (3.0, 1), (True, 0)):
+        with pytest.raises(ValueError, match="not an int"):
+            point_mass(m, i)
+    for n in (True, False, 2.0):
+        with pytest.raises(ValueError, match="not an int"):
+            sample_iid(uniform(3), n, 1)
+    # numpy integers still count
+    assert point_mass(np.int64(3), np.int32(1)).weights == (0.0, 1.0, 0.0)
+    assert sample_iid(uniform(3), np.int64(4), 1) == sample_iid(uniform(3), 4, 1)
 
 
 def test_symdiff_distance():
