@@ -2,13 +2,16 @@
 
 Usage, with two source trees made by `git archive` (no .git directory):
 
-    python3 bench/record.py --parent P --change C --out BENCH_9.json \
-        --seeds 101 102 103 104 105 --seconds 10
+    python3 bench/record.py --parent P --change C --out /tmp/BENCH_new.json
 
 For each seed and each workload, `perfbench/run.py --trace 0` runs once in
-each tree, one after the other; the tree that goes first alternates from
-one pair to the next, so drift in the host's speed hits both sides alike.
-Then one 5-second `--trace 1` ugc run per tree gives the
+each tree, one after the other, for the `run_seconds` that the change
+tree's BENCHMARK.json fixes. Within each workload the tree that goes first
+alternates from one seed to the next (and between neighbouring workloads
+of one seed), so drift in the host's speed hits both sides alike and each
+workload gets both orders equally often. The seeds default to 111-120;
+fewer than ten are refused, since ten pairs is the least a gain claim
+rests on. Then one 5-second `--trace 1` ugc run per tree gives the
 per-layer metrics of the sampler and the trial kernels. The output holds
 every run's end-to-end metrics and op counts, a per-workload summary
 (median and quartiles per side, and in how many pairs the change was
@@ -33,6 +36,7 @@ WORKLOADS = ("exact", "pac", "ugc", "cli")
 # the traced run: the workload where the sampler and trial kernels weigh most
 TRACE_WORKLOAD, TRACE_SECONDS = "ugc", 5.0
 LAYER_PREFIXES = ("measures._draw_indices.", "empirics.", "learning.")
+MIN_PAIRS = 10
 
 
 def parse_args(argv=None):
@@ -40,9 +44,11 @@ def parse_args(argv=None):
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
-    p.add_argument("--seconds", type=float, default=10.0)
-    return p.parse_args(argv)
+    p.add_argument("--seeds", type=int, nargs="+", default=list(range(111, 121)))
+    args = p.parse_args(argv)
+    if len(set(args.seeds)) < MIN_PAIRS:
+        p.error(f"--seeds needs at least {MIN_PAIRS} distinct seeds")
+    return args
 
 
 def check_tree(path: Path) -> Path:
@@ -104,18 +110,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    trees = {"parent": check_tree(args.parent), "change": check_tree(args.change)}
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    runs, stamps, pair = [], {}, 0
-    for seed in args.seeds:
-        for workload in WORKLOADS:
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            pair += 1
+def run_pairs(trees: dict[str, Path], seeds: list[int], seconds: float):
+    """One untraced run per side for each (seed, workload); the side that
+    goes first is set by the parity of seed index plus workload index."""
+    runs, stamps = [], {}
+    for i, seed in enumerate(seeds):
+        for j, workload in enumerate(WORKLOADS):
+            order = ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent")
             for side in order:
-                res = run_bench(trees[side], workload, seed, args.seconds, 0)
+                res = run_bench(trees[side], workload, seed, seconds, 0)
                 stamp = res.pop("stamps")
                 stamps.setdefault(side, stamp)
                 runs.append({"side": side, "workload": workload, "seed": seed,
@@ -124,6 +127,16 @@ def main(argv=None) -> int:
                 print(f"{workload:5s} seed {seed} {side:6s} ops_per_s "
                       f"{res['metrics']['ops_per_s']:.1f} failed {res['failed']}",
                       file=sys.stderr)
+    return runs, stamps
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    trees = {"parent": check_tree(args.parent), "change": check_tree(args.change)}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    runs, stamps = run_pairs(trees, args.seeds, seconds)
     layers = {}
     for side in ("parent", "change"):
         res = run_bench(trees[side], TRACE_WORKLOAD, args.seeds[0], TRACE_SECONDS, 1)
@@ -139,9 +152,10 @@ def main(argv=None) -> int:
     record = {
         "protocol": {
             "command": "perfbench/run.py --trace 0, one run per side per "
-                       "(seed, workload) pair, the first side alternating by pair",
+                       "(seed, workload) pair; within each workload the first "
+                       "side alternates from seed to seed",
             "seeds": args.seeds,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "workloads": list(WORKLOADS),
         },
         "stamps": stamps,
