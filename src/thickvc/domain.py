@@ -14,6 +14,12 @@ import numpy as np
 
 from .errors import DomainMismatch, EmptyClassError
 
+# Float products of 0/1 matrices are split into BLAS calls of at most this
+# many multiply-adds: OpenBLAS keeps a GEMM on one thread up to 65536 x
+# GEMM_MULTITHREAD_THRESHOLD (4), and on a busy host waking its worker
+# threads costs more than the product saves.
+_GEMM_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Domain:

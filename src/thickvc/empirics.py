@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Concept, ConceptClass, membership_matrix
+from .domain import _GEMM_ENTRIES, Concept, ConceptClass, membership_matrix
 from .errors import WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
 from .learning import _quantile_points, _sample_blocks
@@ -36,13 +36,6 @@ class DeviationReport:
     n: int
     trials: int
     n_atom_bound: float
-
-
-# Dense sups come from (counts @ C^T) products of at most this many
-# rows x m x K multiply-adds: OpenBLAS keeps a GEMM on one thread up to
-# 65536 x GEMM_MULTITHREAD_THRESHOLD (4), and on a busy host waking its
-# worker threads costs more than the product saves.
-_GEMM_ENTRIES = 1 << 18
 
 
 def empirical_sup_deviation(
@@ -74,6 +67,7 @@ def empirical_sup_deviation(
         cls.require_nonempty()
         mat = membership_matrix(cls.masks(), m).astype(np.float64)
         true_mass = mat @ measure._arr
+        # (counts @ C^T) in row chunks below BLAS's threading size
         chunk = max(1, _GEMM_ENTRIES // mat.size)
 
     sups = np.empty(trials)

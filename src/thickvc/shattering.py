@@ -14,6 +14,13 @@ point columns (`pack_rows` of the transposed membership matrix, entry p the
 bitset of the concepts holding point p) build them: a cluster lies inside
 the concepts in the AND of its points' columns and misses those outside
 their OR.
+
+Pairs prune the search too: in a strongly shattered family of b+1
+nonempty clusters every pattern has its own carver, so any two members
+carve each of their four joint in/out patterns with at least 2^(b-1)
+concepts. Float32 products of the 0/1 contains/disjoint columns count
+those patterns; each candidate's row holds the candidates that meet the
+count with it, and a node's live set of candidates shrinks along the rows.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .domain import (
+    _GEMM_ENTRIES,
     ClusterFamily,
     Concept,
     ConceptClass,
@@ -181,21 +191,38 @@ def _max_family(
     zero bitset prunes the whole branch. Every prefix of a valid family is
     valid, so in-order DFS reaches the lex-least family of each size first.
 
-    Two counting cuts drop branches that cannot beat the best depth found:
+    Each node also carries `live`, a bitset of the later candidate
+    positions that can still join its family: the parent's live set past
+    the candidate, AND the candidate's row. In a family of best+1 clusters
+    each of the 2^(best+1) patterns needs a carver of its own (patterns
+    that differ at cluster i disagree on the nonempty cluster i), so any
+    two members carve each of their four joint patterns (in/in, in/out,
+    out/in, out/out) with at least 2^(best-1) concepts. Row j holds the
+    candidates that meet that count with j; rows are built lazily, and
+    again when the count rises. Overlapping candidates never meet it (no
+    concept holds one while missing the other), so rows keep families
+    disjoint. Singletons get rows of every candidate: on point searches
+    the pair counts cost more time than they save.
+
+    Cuts drop branches that cannot beat the best depth found:
     - early stop: once the best depth reaches n_cap the whole search ends;
+    - pair cut: a child at depth d+1 needs best-d more members, all in its
+      live set, so a candidate whose child set holds fewer is skipped, and
+      a node with at most best-d live candidates left stops;
     - count cut: a child at depth d+1 must split best-d more times to go
       deeper than best, and the two sides of a split are disjoint and
       nonempty, so each of its bitsets needs at least 2^(best-d) concepts
-      (the counting step of Sauer-Shelah); likewise a node needs at least
-      best+1-d candidates left to try.
+      (the counting step of Sauer-Shelah).
     The best family only changes on a strictly deeper one, and the cuts
     drop only branches that cannot give one, so the search meets the same
-    lex-least witness as the uncut DFS. Nodes count extension attempts
-    (candidates tried that miss the chosen union); the cuts use fewer.
+    lex-least witness as the uncut DFS. Nodes count split tests (live
+    candidates tried that pass the pair cut); the cuts use fewer.
 
-    Returns (n, chosen candidate positions, nodes used).
+    Candidates are nonempty point masks. Returns (n, chosen candidate
+    positions, nodes used).
     """
-    full = (1 << len(concept_masks)) - 1
+    K = len(concept_masks)
+    full = (1 << K) - 1
     if not full:
         return 0, (), 0
     width = max(map(int.bit_length, concept_masks + candidates))
@@ -210,24 +237,68 @@ def _max_family(
             contains.append(cb)
             disjoint.append(db)
     n_keep = len(keep)
+    paired = sum(map(int.bit_count, candidates)) > len(candidates)  # not all singletons
+    rows: list[int | None] = [None] * n_keep
+    sides = sides_t = None
     best_depth = 0
     best_chosen: tuple[int, ...] = ()
     nodes = 0
 
-    def rec(start: int, chosen: tuple[int, ...], union: int, pats: list[int]) -> None:
-        nonlocal best_depth, best_chosen, nodes
+    def build_rows(j: int) -> int:
+        """Rows of j's block at the current best depth; returns row j."""
+        nonlocal sides, sides_t
+        if sides is None:  # 0/1 rows: contains_0, disjoint_0, contains_1, ...
+            interleaved = [x for pair in zip(contains, disjoint) for x in pair]
+            # float32 counts are exact below 2^24 concepts
+            dtype = np.float32 if K < 1 << 24 else np.float64
+            sides = membership_matrix(interleaved, K).astype(dtype)
+            sides_t = np.ascontiguousarray(sides.T)
+        # blocks sized so each product stays below BLAS's threading size
+        # (one candidate at least)
+        block = max(1, _GEMM_ENTRIES // (4 * K * n_keep))
+        a = j - j % block
+        b = min(a + block, n_keep)
+        # joint counts against candidates a.. only: a live set never holds
+        # candidates before the one being tried
+        counts = sides[2 * a : 2 * b] @ sides_t[:, 2 * a :]
+        q = counts.reshape(b - a, 2, n_keep - a, 2)
+        least = np.minimum(
+            np.minimum(q[:, 0, :, 0], q[:, 0, :, 1]),
+            np.minimum(q[:, 1, :, 0], q[:, 1, :, 1]),
+        )
+        for i, row in enumerate(pack_rows(least >= 2.0 ** (best_depth - 1)), a):
+            rows[i] = row << a
+        return rows[j]
+
+    def rec(live: int, left: int, chosen: tuple[int, ...], pats: list[int]) -> None:
+        nonlocal best_depth, best_chosen, nodes, rows
         depth = len(chosen)
         if depth > best_depth:
             best_depth = depth
             best_chosen = chosen
+            if depth >= 2:  # the pair count 2^(best-1) rose (it is 1 up to here)
+                rows = [None] * n_keep
         if depth >= n_cap:
             return
-        for j in range(start, n_keep):
-            if n_keep - j <= best_depth - depth:
-                return  # too few candidates left to go deeper than best
-            a = candidates[keep[j]]
-            if union & a:
-                continue
+        gap = best_depth - depth
+        need = 1 << gap
+        while live:
+            if left <= gap:
+                return  # too few live candidates left to go deeper than best
+            low = live & -live
+            live ^= low
+            left -= 1
+            j = low.bit_length() - 1
+            if paired:
+                row = rows[j]
+                if row is None:
+                    row = build_rows(j)
+                child = live & row
+                size = child.bit_count()
+                if size < gap:
+                    continue
+            else:  # singletons: the row is every later candidate
+                child, size = live, left
             nodes += 1
             if nodes > work_limit:
                 raise WorkLimitExceeded(
@@ -235,27 +306,25 @@ def _max_family(
                 )
             db = disjoint[j]
             cb = contains[j]
-            need = 1 << (best_depth - depth)
             lo: list[int] = []
             hi: list[int] = []
-            ok = True
             for bs in pats:
                 x = bs & db
                 if x.bit_count() < need:
-                    ok = False
                     break
                 y = bs & cb
                 if y.bit_count() < need:
-                    ok = False
                     break
                 lo.append(x)
                 hi.append(y)
-            if ok:
-                rec(j + 1, chosen + (keep[j],), union | a, lo + hi)
+            else:
+                rec(child, size, chosen + (keep[j],), lo + hi)
                 if best_depth >= n_cap:
                     return  # nothing can beat a family of the cap's size
+                gap = best_depth - depth
+                need = 1 << gap
 
-    rec(0, (), 0, [full])
+    rec((1 << n_keep) - 1, n_keep, (), [full])
     return best_depth, best_chosen, nodes
 
 
@@ -333,7 +402,9 @@ def vc_thick(
     preserves containment in its with-carvers and disjointness from its
     without-carvers, so the maximal n is already attained at minimal size
     (unit-tested as a lemma). min_size=1 therefore coincides with classical
-    VC dimension.
+    VC dimension. Two overlapping candidates never share a row of the pair
+    cut: no concept contains one while missing the other, so their in/out
+    count is zero.
     """
     cls.require_nonempty()
     if not isinstance(min_size, int) or min_size < 1:

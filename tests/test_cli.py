@@ -172,6 +172,19 @@ def test_vc_thick_and_removal(tmp_path):
     assert r3.returncode == 2
 
 
+def test_vc_thick_work_limit_counts_search_nodes(tmp_path):
+    # 91 candidate pairs pass the up-front refusal; the pair search then
+    # needs thousands of nodes to show that no 4 pairs are shattered
+    out = tmp_path / "rand.class"
+    save_class(gen_random(14, 116, 0.5, 0), str(out))
+    r = run_cli("vc-thick", "--class", str(out), "--min-size", "2", "--work-limit", "100")
+    assert r.returncode == 3
+    assert "family search passed 100 nodes" in r.stderr
+    r2 = run_cli("vc-thick", "--class", str(out), "--min-size", "2")
+    assert r2.returncode == 0, r2.stderr
+    assert records(r2.stdout)[0]["vc_thick"] == 3
+
+
 def test_vc_mod_and_stone_check(tmp_path):
     cfile = tmp_path / "iv.class"
     nfile = tmp_path / "neg.points"

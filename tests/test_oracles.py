@@ -6,7 +6,8 @@ search. The oracles here share none of its machinery: they enumerate point
 sets (or cluster families) in lexicographic order over frozensets, so the
 first shattered one of the largest size is the lex-least witness, and a
 linear scan over the concepts gives the least-index carver of each pattern.
-Sizes stay small (m <= 8, K <= 40) under the fixed "oracles" profile.
+Sizes stay small (m <= 8, K <= 40, clusters of 1 to 3 points) under the
+fixed "oracles" profile.
 """
 
 import itertools
@@ -127,7 +128,7 @@ def test_vc_dimension_matches_enumeration(cls):
 
 
 @ORACLES
-@given(classes(), st.sampled_from([1, 2]))
+@given(classes(), st.sampled_from([1, 2, 3]))
 def test_vc_thick_matches_enumeration(cls, size):
     m = cls.domain.size
     if size > m:

@@ -27,6 +27,7 @@ from thickvc import (
     vc_mod_ideal,
     vc_thick,
 )
+from thickvc import shattering
 from thickvc.shattering import _max_family, sauer_bound, sauer_shelah_ok, trace_count
 
 
@@ -166,6 +167,85 @@ def test_vc_empty_class_and_work_limit():
     assert _max_family(masks, [1 << p for p in range(8)], 8, 10) == (
         8, tuple(range(8)), 8
     )
+
+
+def uncut_max_family(masks, candidates):
+    """The DFS that _max_family prunes, with no cut at all: every disjoint
+    extension whose patterns all keep a carver, in candidate order, the
+    best family replaced only by a strictly deeper one."""
+    inside = [sum(1 << k for k, c in enumerate(masks) if c & a == a) for a in candidates]
+    outside = [sum(1 << k for k, c in enumerate(masks) if not c & a) for a in candidates]
+    best = ()
+
+    def rec(start, chosen, union, pats):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for j in range(start, len(candidates)):
+            if union & candidates[j]:
+                continue
+            split = [p & outside[j] for p in pats] + [p & inside[j] for p in pats]
+            if all(split):
+                rec(j + 1, chosen + (j,), union | candidates[j], split)
+
+    rec(0, (), 0, [(1 << len(masks)) - 1])
+    return len(best), best
+
+
+def family_instance(trial):
+    """Distinct sorted masks on m <= 12 points (K <= 120), every cluster of
+    one size (1, 2 or 3 points) as candidates, and the search's cap. Half
+    the classes hold every union of a few planted disjoint clusters, each
+    with random points added off the planted ones, so deep families occur."""
+    rng = derive_rng(4141, "family", trial)
+    size = int(rng.integers(1, 4))
+    m = int(rng.integers(size, 13))
+    k = int(rng.integers(1, min(120, 1 << m) + 1))
+    masks = set()
+    if rng.random() < 0.5:
+        r = int(rng.integers(1, min(m // size, 6) + 1))
+        planted = [sum(1 << int(p) for p in block) for block in
+                   rng.permutation(m)[: r * size].reshape(r, size)]
+        free = ((1 << m) - 1) & ~sum(planted)
+        for pat in range(min(1 << r, k)):
+            noise = int(rng.integers(0, 1 << m)) & free
+            masks.add(sum(a for i, a in enumerate(planted) if pat >> i & 1) | noise)
+    density = float(rng.uniform(0.2, 0.8))
+    while len(masks) < k:
+        masks.add(sum(1 << p for p in range(m) if rng.random() < density))
+    masks = sorted(masks)
+    cands = [sum(1 << p for p in t) for t in itertools.combinations(range(m), size)]
+    return masks, cands, min(m // size, len(masks).bit_length() - 1)
+
+
+def test_max_family_matches_uncut_dfs():
+    sizes = set()
+    for trial in range(320):
+        masks, cands, n_cap = family_instance(trial)
+        sizes.add(cands[0].bit_count())
+        n, chosen, _ = _max_family(masks, cands, n_cap, 10**7)
+        assert (n, chosen) == uncut_max_family(masks, cands), trial
+    assert sizes == {1, 2, 3}
+
+
+def test_max_family_blocks_do_not_change_the_search(monkeypatch):
+    # one candidate per product against all of them in one product
+    runs = []
+    for entries in (1, 1 << 40):
+        monkeypatch.setattr(shattering, "_GEMM_ENTRIES", entries)
+        runs.append([_max_family(*family_instance(t), 10**7) for t in range(40)])
+    assert runs[0] == runs[1]
+
+
+def test_max_family_pair_cut_node_guard():
+    # vc_thick(cls, 2) here must show that no 4 pairs are strongly
+    # shattered; without the pair cut the search used 38,958 nodes
+    cls = gen_random(14, 116, 0.5, 0)
+    masks = sorted({c.bits for c in cls.concepts})
+    pairs = [sum(1 << p for p in t) for t in itertools.combinations(range(14), 2)]
+    n, chosen, nodes = _max_family(masks, pairs, 6, 10**7)
+    assert (len(masks), n, chosen) == (116, 3, (0, 25, 49))
+    assert nodes <= 18_543
 
 
 def test_strong_shattering_matches_brute_force():
