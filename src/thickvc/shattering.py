@@ -19,8 +19,10 @@ Pairs prune the search too: in a strongly shattered family of b+1
 nonempty clusters every pattern has its own carver, so any two members
 carve each of their four joint in/out patterns with at least 2^(b-1)
 concepts. Float32 products of the 0/1 contains/disjoint columns count
-those patterns; each candidate's row holds the candidates that meet the
-count with it, and a node's live set of candidates shrinks along the rows.
+those patterns, or popcounts of the bitsets once a product would pass
+BLAS's threading size; each candidate's row holds the candidates that
+meet the count with it, and a node's live set of candidates shrinks along
+the rows.
 """
 
 from __future__ import annotations
@@ -199,7 +201,10 @@ def _max_family(
     two members carve each of their four joint patterns (in/in, in/out,
     out/in, out/out) with at least 2^(best-1) concepts. Row j holds the
     candidates that meet that count with j; rows are built lazily, and
-    again when the count rises. Overlapping candidates never meet it (no
+    again when the count rises: a block of them from one float32 product
+    below BLAS's threading size, or one from popcounts of the bitsets when
+    a single candidate's product would pass it, so their memory stays
+    bounded on wide classes. Overlapping candidates never meet it (no
     concept holds one while missing the other), so rows keep families
     disjoint. Singletons get rows of every candidate: on point searches
     the pair counts cost more time than they save.
@@ -238,35 +243,46 @@ def _max_family(
             disjoint.append(db)
     n_keep = len(keep)
     paired = sum(map(int.bit_count, candidates)) > len(candidates)  # not all singletons
+    # pair counts come from float32 products while the 0/1 side matrix stays
+    # below BLAS's threading size (so K < 2^24 and the counts are exact),
+    # past it from popcounts
+    dense = 4 * K * n_keep <= _GEMM_ENTRIES
     rows: list[int | None] = [None] * n_keep
-    sides = sides_t = None
+    sides = None
     best_depth = 0
     best_chosen: tuple[int, ...] = ()
     nodes = 0
 
     def build_rows(j: int) -> int:
-        """Rows of j's block at the current best depth; returns row j."""
-        nonlocal sides, sides_t
+        """Rows of j's block (j alone for popcounts) at the current best
+        depth; returns row j."""
+        nonlocal sides
+        least = 1 << max(best_depth - 1, 0)
+        if not dense:  # one row, from four popcounts per later candidate
+            cj, dj = contains[j], disjoint[j]
+            row = 0
+            for i in range(j + 1, n_keep):
+                ci, di = contains[i], disjoint[i]
+                if all((x & y).bit_count() >= least for x in (cj, dj) for y in (di, ci)):
+                    row |= 1 << i
+            rows[j] = row
+            return row
         if sides is None:  # 0/1 rows: contains_0, disjoint_0, contains_1, ...
             interleaved = [x for pair in zip(contains, disjoint) for x in pair]
-            # float32 counts are exact below 2^24 concepts
-            dtype = np.float32 if K < 1 << 24 else np.float64
-            sides = membership_matrix(interleaved, K).astype(dtype)
-            sides_t = np.ascontiguousarray(sides.T)
+            sides = membership_matrix(interleaved, K).astype(np.float32)
         # blocks sized so each product stays below BLAS's threading size
-        # (one candidate at least)
-        block = max(1, _GEMM_ENTRIES // (4 * K * n_keep))
+        block = _GEMM_ENTRIES // (4 * K * n_keep)
         a = j - j % block
         b = min(a + block, n_keep)
         # joint counts against candidates a.. only: a live set never holds
         # candidates before the one being tried
-        counts = sides[2 * a : 2 * b] @ sides_t[:, 2 * a :]
+        counts = sides[2 * a : 2 * b] @ sides[2 * a :].T
         q = counts.reshape(b - a, 2, n_keep - a, 2)
-        least = np.minimum(
+        fewest = np.minimum(
             np.minimum(q[:, 0, :, 0], q[:, 0, :, 1]),
             np.minimum(q[:, 1, :, 0], q[:, 1, :, 1]),
         )
-        for i, row in enumerate(pack_rows(least >= 2.0 ** (best_depth - 1)), a):
+        for i, row in enumerate(pack_rows(fewest >= least), a):
             rows[i] = row << a
         return rows[j]
 

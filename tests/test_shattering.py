@@ -2,6 +2,7 @@
 and itertools so they share no machinery with the bitmask implementations."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -218,7 +219,10 @@ def family_instance(trial):
     return masks, cands, min(m // size, len(masks).bit_length() - 1)
 
 
-def test_max_family_matches_uncut_dfs():
+@pytest.mark.parametrize("rows", ["products", "popcounts"])
+def test_max_family_matches_uncut_dfs(rows, monkeypatch):
+    if rows == "popcounts":  # as on classes too wide for the float32 products
+        monkeypatch.setattr(shattering, "_GEMM_ENTRIES", 0)
     sizes = set()
     for trial in range(320):
         masks, cands, n_cap = family_instance(trial)
@@ -228,13 +232,31 @@ def test_max_family_matches_uncut_dfs():
     assert sizes == {1, 2, 3}
 
 
-def test_max_family_blocks_do_not_change_the_search(monkeypatch):
-    # one candidate per product against all of them in one product
+def test_max_family_row_builds_do_not_change_the_search(monkeypatch):
+    # popcount rows, products in blocks, all candidates in one product
     runs = []
-    for entries in (1, 1 << 40):
+    for entries in (0, shattering._GEMM_ENTRIES, 1 << 40):
         monkeypatch.setattr(shattering, "_GEMM_ENTRIES", entries)
         runs.append([_max_family(*family_instance(t), 10**7) for t in range(40)])
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_vc_thick_wide_class_keeps_memory_bounded():
+    # 2^16 concepts and 120 pairs: a float32 side matrix would take 63 MB,
+    # and products of that size would run BLAS threaded, so rows come from
+    # popcounts of the bitsets
+    cls = gen_power_set(16)
+    tracemalloc.start()
+    try:
+        n, cert = vc_thick(cls, 2, want_certificate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 8
+    assert [c.indices() for c in cert.witness.clusters] == [
+        (2 * i, 2 * i + 1) for i in range(8)
+    ]
+    assert peak < 16 << 20
 
 
 def test_max_family_pair_cut_node_guard():
