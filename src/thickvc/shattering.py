@@ -1,11 +1,12 @@
 """Shattering computations on finite concept classes.
 
-One engine, a carver-bitset depth-first search for strongly shattered
-disjoint cluster families, answers every shattering question: classical VC
-dimension (singleton clusters), the thick variant (clusters of a minimum
-size), the ideal-relative variant (singletons outside the negligible set)
-and exact and greedy point-removal minimization (singletons off the removed
-points). Carving a canonical witness family out of a carver map closes it.
+One search, a carver-bitset depth-first search for strongly shattered
+disjoint families of equal-size clusters of allowed points, answers every
+shattering question: classical VC dimension (one-point clusters of the
+whole domain), the thick variant (clusters of a minimum size), the
+ideal-relative variant (points outside the negligible set) and exact and
+greedy point-removal minimization (points off the removed ones). Carving a
+canonical witness family out of a carver map closes it.
 
 Concepts are m-bit masks throughout. Inside the family search a second kind
 of mask appears: bitsets over concept INDICES, so "which concepts can still
@@ -14,6 +15,12 @@ point columns (`pack_rows` of the transposed membership matrix, entry p the
 bitset of the concepts holding point p) build them: a cluster lies inside
 the concepts in the AND of its points' columns and misses those outside
 their OR.
+
+A candidate whose (contains, disjoint) sides repeat an earlier one's is
+dropped: swapped in for it, the earlier one keeps a family strongly
+shattered and disjoint and makes it lex-smaller (argument at
+`_max_family`), so on one-point clusters only the least point of each
+block of equal membership columns is searched.
 
 Pairs prune the search too: in a strongly shattered family of b+1
 nonempty clusters every pattern has its own carver, so any two members
@@ -44,6 +51,7 @@ from .domain import (
     bits_of,
     membership_matrix,
     pack_rows,
+    require_int,
 )
 from .errors import DomainMismatch, EmptyWitness, WorkLimitExceeded
 
@@ -134,9 +142,9 @@ def vc_dimension(
     """Largest size of a shattered point set, by exhaustive pruned search.
 
     A point set is shattered exactly when its singletons are strongly
-    shattered, so this is the family search over singleton candidates of
-    the whole domain. Candidates are taken in increasing point order, so
-    the witness is the lex-least shattered set of maximal size.
+    shattered, so this is the family search over one-point clusters of the
+    whole domain. Candidates are taken in increasing point order, so the
+    witness is the lex-least shattered set of maximal size.
 
     Returns the dimension, or (dimension, certificate) when asked.
     Raises EmptyClassError on an empty class, WorkLimitExceeded past the
@@ -144,7 +152,7 @@ def vc_dimension(
     """
     cls.require_nonempty()
     full = cls.domain.full_mask
-    return _point_search(cls, full, "points", want_certificate, work_limit)
+    return _search(cls, full, 1, "points", want_certificate, work_limit)
 
 
 # family search internals
@@ -223,8 +231,15 @@ def _max_family(
     lex-least witness as the uncut DFS. Nodes count split tests (live
     candidates tried that pass the pair cut); the cuts use fewer.
 
-    Candidates are nonempty point masks. Returns (n, chosen candidate
-    positions, nodes used).
+    Candidates are nonempty point masks. A dead one (no concept contains
+    it, or none misses it) is dropped, and so is Y when its sides repeat a
+    kept X's. Were Y in a strongly shattered family F, each other member Z
+    would miss X (the carver of "Z in, Y out" holds Z and misses Y, hence
+    X) and X would not be in F (no concept holds X and misses Y), so
+    F - Y + X, carved by the same concepts, would be a lex-smaller family
+    of the same size. The lex-least family of each size never holds Y, so
+    the search meets the same witnesses in no more nodes. Returns (n,
+    chosen candidate positions, nodes used).
     """
     K = len(concept_masks)
     full = (1 << K) - 1
@@ -235,9 +250,11 @@ def _max_family(
     contains: list[int] = []
     disjoint: list[int] = []
     keep: list[int] = []
+    seen: set[tuple[int, int]] = set()
     for pos, a in enumerate(candidates):
         cb, db = _side_bitsets(cols, full, a)
-        if cb and db:  # a cluster no concept contains (or none avoids) is dead
+        if cb and db and (cb, db) not in seen:
+            seen.add((cb, db))
             keep.append(pos)
             contains.append(cb)
             disjoint.append(db)
@@ -344,47 +361,46 @@ def _max_family(
     return best_depth, best_chosen, nodes
 
 
-def _certificate(
-    cls: ConceptClass, kind: str, family: list[int], min_size: int = 1
-) -> ShatterCertificate:
-    """Certificate for a strongly shattered family of cluster masks: a
-    "points" witness is their union, a "clusters" witness the family."""
-    m = cls.domain.size
-    carvers = _family_carvers(cls, family)
-    if kind == "points":
-        witness = Concept(m, sum(family))
-    else:
-        witness = ClusterFamily(
-            cls.domain, tuple(Concept(m, a) for a in family), min_size
-        )
-    return ShatterCertificate(kind, witness, carvers)
-
-
-def _point_search(
+def _search(
     cls: ConceptClass,
     allowed: int,
+    size: int,
     kind: str,
     want_certificate: bool,
     work_limit: int,
 ):
-    """Largest shattered set of allowed points, as a singleton-family search.
-
-    Points with the same membership column can never be shattered together,
-    and swapping one for its block minimum only lowers the witness
-    lexicographically, so only block minima are candidates. 2^n distinct
-    traces on the allowed points are needed to shatter n of them.
+    """Largest strongly shattered disjoint family of `size`-point clusters
+    of allowed points: n, or (n, certificate of `kind`), searched on the
+    traces on those points over their size-subsets in combinations order.
+    Disjointness caps n at |allowed| // size, and the 2^n distinct carvers
+    (patterns differing at cluster i disagree on it) cap it at
+    bit_length(#traces) - 1. Cluster searches refuse when their candidate
+    count alone passes the work limit.
     """
+    points = list(bits_of(allowed))
+    if size > 1:
+        count = math.comb(len(points), size)
+        if count > work_limit:
+            raise WorkLimitExceeded(
+                f"C({len(points)},{size}) = {count} candidate clusters exceed the "
+                f"work limit {work_limit}",
+                work_limit,
+            )
     traces = sorted({c.bits & allowed for c in cls.concepts})
-    cols = pack_rows(membership_matrix(traces, cls.domain.size).T)
-    blocks: dict[int, int] = {}
-    for p in bits_of(allowed):
-        blocks.setdefault(cols[p], p)
-    candidates = [1 << p for p in blocks.values()]
-    n_cap = min(len(candidates), len(traces).bit_length() - 1)
+    candidates = [sum(1 << p for p in t) for t in combinations(points, size)]
+    n_cap = min(len(points) // size, len(traces).bit_length() - 1)
     n, chosen, _ = _max_family(traces, candidates, n_cap, work_limit)
     if not want_certificate:
         return n
-    return n, _certificate(cls, kind, [candidates[p] for p in chosen])
+    # a "points" witness is the union of the family, a "clusters" one the family
+    family = [candidates[p] for p in chosen]
+    m = cls.domain.size
+    if kind == "points":
+        witness = Concept(m, sum(family))
+    else:
+        clusters = tuple(Concept(m, a) for a in family)
+        witness = ClusterFamily(cls.domain, clusters, size)
+    return n, ShatterCertificate(kind, witness, _family_carvers(cls, family))
 
 
 def is_strongly_shattered(
@@ -417,13 +433,12 @@ def vc_thick(
     Clusters are searched at exactly min_size points: shrinking a cluster
     preserves containment in its with-carvers and disjointness from its
     without-carvers, so the maximal n is already attained at minimal size
-    (unit-tested as a lemma). min_size=1 therefore coincides with classical
-    VC dimension. Two overlapping candidates never share a row of the pair
-    cut: no concept contains one while missing the other, so their in/out
-    count is zero.
+    (unit-tested as a lemma). min_size = 1 is the point search that
+    vc_dimension runs, its witness given as one-point clusters.
     """
     cls.require_nonempty()
-    if not isinstance(min_size, int) or min_size < 1:
+    require_int(min_size, "min_size")
+    if min_size < 1:
         raise ValueError(f"min_size must be a positive int, got {min_size!r}")
     m = cls.domain.size
     if min_size > m:
@@ -432,25 +447,8 @@ def vc_thick(
             stacklevel=2,
         )
         return (0, None) if want_certificate else 0
-    masks = sorted({c.bits for c in cls.concepts})
-    # 2^n distinct carvers are forced (patterns differing at i disagree on
-    # the nonempty A_i), and disjointness caps n at m // min_size
-    n_cap = min(m // min_size, len(masks).bit_length() - 1)
-    cand_count = math.comb(m, min_size)
-    if cand_count > work_limit:
-        raise WorkLimitExceeded(
-            f"C({m},{min_size}) = {cand_count} candidate clusters exceed the "
-            f"work limit {work_limit}",
-            work_limit,
-        )
-    candidates = [
-        sum(1 << i for i in tup) for tup in combinations(range(m), min_size)
-    ]
-    n, chosen, _ = _max_family(masks, candidates, n_cap, work_limit)
-    if not want_certificate:
-        return n
-    family = [candidates[p] for p in chosen]
-    return n, _certificate(cls, "clusters", family, min_size)
+    full = cls.domain.full_mask
+    return _search(cls, full, int(min_size), "clusters", want_certificate, work_limit)
 
 
 def vc_mod_ideal(
@@ -469,11 +467,10 @@ def vc_mod_ideal(
     exact, not a heuristic.
     """
     cls.require_nonempty()
-    m = cls.domain.size
-    if ideal.m != m:
+    if ideal.m != cls.domain.size:
         raise DomainMismatch("ideal lives on a different domain")
     allowed = cls.domain.full_mask & ~ideal.negligible.bits
-    return _point_search(cls, allowed, "clusters", want_certificate, work_limit)
+    return _search(cls, allowed, 1, "clusters", want_certificate, work_limit)
 
 
 @dataclass(frozen=True)
@@ -504,14 +501,15 @@ def vc_after_removal(
     """
     cls.require_nonempty()
     m = cls.domain.size
-    if not isinstance(budget, int) or not 0 <= budget <= m:
+    require_int(budget, "budget")
+    if not 0 <= budget <= m:
         raise ValueError(f"budget must lie in [0, {m}], got {budget!r}")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     full = cls.domain.full_mask
 
     def vc_without(removed: int) -> int:
-        return _point_search(cls, full & ~removed, "points", False, work_limit)
+        return _search(cls, full & ~removed, 1, "points", False, work_limit)
 
     if budget == 0:
         # no removal choice is made, so even greedy mode is exact here

@@ -6,8 +6,8 @@ search. The oracles here share none of its machinery: they enumerate point
 sets (or cluster families) in lexicographic order over frozensets, so the
 first shattered one of the largest size is the lex-least witness, and a
 linear scan over the concepts gives the least-index carver of each pattern.
-Sizes stay small (m <= 8, K <= 40, clusters of 1 to 3 points) under the
-fixed "oracles" profile.
+Sizes stay small (m <= 8, clusters of 1 to 3 points) under the fixed
+"oracles" profile.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from thickvc import (
     ConceptClass,
     Domain,
     PrincipalIdeal,
+    gen_cluster_decorated,
     stone_check,
     vc_after_removal,
     vc_dimension,
@@ -48,6 +49,18 @@ def classes(draw, m_max=8, k_max=40):
     masks += draw(st.lists(extra, min_size=0 if masks else 1, max_size=room))
     order = draw(st.permutations(masks))
     return ConceptClass(Domain(m), tuple(Concept(m, b) for b in order))
+
+
+@st.composite
+def decorated_classes(draw):
+    """A drawn class blown up to clusters of 2 or 3 points, with shattered
+    noise points grafted on, on at most 8 points in all. Every point of a
+    blown-up cluster has the same column, so many candidate clusters
+    repeat the sides of an earlier one."""
+    size = draw(st.integers(2, 3))
+    base = draw(classes(m_max=8 // size, k_max=16))
+    noise = draw(st.integers(0, min(3, 8 - size * base.domain.size)))
+    return gen_cluster_decorated(base, size, noise, draw(st.integers(0, 1 << 16)))
 
 
 @st.composite
@@ -127,8 +140,8 @@ def test_vc_dimension_matches_enumeration(cls):
     assert_matches(got, brute_points(sets_of(cls), range(m)))
 
 
-@ORACLES
-@given(classes(), st.sampled_from([1, 2, 3]))
+@settings(ORACLES, max_examples=2 * ORACLES.max_examples)  # half are decorated
+@given(st.one_of(classes(), decorated_classes()), st.sampled_from([1, 2, 3]))
 def test_vc_thick_matches_enumeration(cls, size):
     m = cls.domain.size
     if size > m:

@@ -16,6 +16,7 @@ from thickvc import (
     WorkLimitExceeded,
     canonical_witness,
     derive_rng,
+    gen_cluster_decorated,
     gen_finite_cofinite,
     gen_intervals,
     gen_power_set,
@@ -270,6 +271,35 @@ def test_max_family_pair_cut_node_guard():
     assert nodes <= 18_543
 
 
+def test_max_family_repeated_sides_node_guard():
+    # intervals(8) blown up to 3-point clusters, with 8 shattered noise
+    # points: a triple inside one blown-up point repeats the sides of the
+    # block's first triple, and each is dropped before the search; without
+    # that the search used 260,753 nodes
+    cls = gen_cluster_decorated(gen_intervals(8), 3, 8, 7)
+    masks = sorted({c.bits for c in cls.concepts})
+    m = cls.domain.size
+    triples = [sum(1 << p for p in t) for t in itertools.combinations(range(m), 3)]
+    n_cap = min(m // 3, len(masks).bit_length() - 1)
+    n, chosen, nodes = _max_family(masks, triples, n_cap, 10**7)
+    assert n == 2
+    assert [Concept(m, triples[j]).indices() for j in chosen] == [(0, 1, 2), (3, 4, 5)]
+    assert nodes <= 1_929
+
+
+def test_vc_thick_paper_construction():
+    # power_set(5) blown up to 4-point clusters with 8 shattered noise
+    # points: the clusters are the blown-up points, found among
+    # C(28, 4) = 20,475 candidates of which all but a few repeat sides
+    cls = gen_cluster_decorated(gen_power_set(5), 4, 8, 7)
+    n, cert = vc_thick(cls, 4, want_certificate=True)
+    assert n == 5
+    assert [a.indices() for a in cert.witness.clusters] == [
+        tuple(range(4 * i, 4 * i + 4)) for i in range(5)
+    ]
+    assert cert.validate(cls)
+
+
 def test_strong_shattering_matches_brute_force():
     for trial in range(80):
         cls = random_class(trial, m_hi=8, count_hi=25)
@@ -336,6 +366,11 @@ def test_vc_thick_oversized_min_size_warns():
     cls = gen_power_set(3)
     with pytest.warns(UserWarning):
         assert vc_thick(cls, 4) == 0
+
+
+def test_vc_thick_refuses_a_bool_min_size():
+    with pytest.raises(ValueError, match="min_size True is not an int"):
+        vc_thick(gen_power_set(3), True)
 
 
 def test_vc_thick_empty_only_class():
@@ -411,6 +446,11 @@ def test_vc_after_removal_full_budget():
     cls = gen_power_set(3)
     res = vc_after_removal(cls, 3, mode="exact")
     assert res.vc == 0 and res.removed.size == 3
+
+
+def test_vc_after_removal_refuses_a_bool_budget():
+    with pytest.raises(ValueError, match="budget True is not an int"):
+        vc_after_removal(gen_power_set(3), True)
 
 
 def test_canonical_witness_round_trip():
