@@ -14,10 +14,12 @@ import numpy as np
 
 from .errors import DomainMismatch, EmptyClassError
 
-# Float products of 0/1 matrices are split into BLAS calls of at most this
-# many multiply-adds: OpenBLAS keeps a GEMM on one thread up to 65536 x
-# GEMM_MULTITHREAD_THRESHOLD (4), and on a busy host waking its worker
-# threads costs more than the product saves.
+# Size of the pieces bulk array work is split into. Float products of 0/1
+# matrices run as BLAS calls of at most this many multiply-adds: OpenBLAS
+# keeps a GEMM on one thread up to 65536 x GEMM_MULTITHREAD_THRESHOLD (4),
+# and on a busy host waking its worker threads costs more than the product
+# saves. The family search builds its pair rows in blocks whose popcount
+# temporaries hold about this many 64-bit words.
 _GEMM_ENTRIES = 1 << 18
 
 
@@ -53,10 +55,6 @@ def require_int(value, what: str) -> None:
     """Refuse a bool or a non-int (numpy integers count as ints)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an int")
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -136,10 +134,10 @@ class Concept:
 
     @property
     def size(self) -> int:
-        return _popcount(self.bits)
+        return self.bits.bit_count()
 
     def __len__(self) -> int:
-        return _popcount(self.bits)
+        return self.bits.bit_count()
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.m and bool(self.bits >> i & 1)
@@ -311,8 +309,10 @@ class ClusterFamily:
     def __post_init__(self):
         clusters = tuple(self.clusters)
         object.__setattr__(self, "clusters", clusters)
-        if not isinstance(self.min_size, int) or self.min_size < 1:
+        require_int(self.min_size, "min_size")
+        if self.min_size < 1:
             raise ValueError(f"min_size must be a positive int, got {self.min_size!r}")
+        object.__setattr__(self, "min_size", int(self.min_size))
         m = self.domain.size
         union = 0
         for k, a in enumerate(clusters):

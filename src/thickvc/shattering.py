@@ -25,11 +25,9 @@ block of equal membership columns is searched.
 Pairs prune the search too: in a strongly shattered family of b+1
 nonempty clusters every pattern has its own carver, so any two members
 carve each of their four joint in/out patterns with at least 2^(b-1)
-concepts. Float32 products of the 0/1 contains/disjoint columns count
-those patterns, or popcounts of the bitsets once a product would pass
-BLAS's threading size; each candidate's row holds the candidates that
-meet the count with it, and a node's live set of candidates shrinks along
-the rows.
+concepts. Popcounts of the word-packed contains/disjoint bitsets count
+those patterns; each candidate's row holds the candidates that meet the
+count with it, and a node's live set of candidates shrinks along the rows.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -209,13 +207,14 @@ def _max_family(
     two members carve each of their four joint patterns (in/in, in/out,
     out/in, out/out) with at least 2^(best-1) concepts. Row j holds the
     candidates that meet that count with j; rows are built lazily, and
-    again when the count rises: a block of them from one float32 product
-    below BLAS's threading size, or one from popcounts of the bitsets when
-    a single candidate's product would pass it, so their memory stays
-    bounded on wide classes. Overlapping candidates never meet it (no
-    concept holds one while missing the other), so rows keep families
-    disjoint. Singletons get rows of every candidate: on point searches
-    the pair counts cost more time than they save.
+    again when the count rises, a block at a time from popcounts of the
+    ANDed 64-bit words of the side bitsets. A block holds as many rows,
+    and its popcounts take as many words at a time, as keep their
+    temporaries within _GEMM_ENTRIES words (at least one row and word).
+    Overlapping candidates never meet the count (no concept holds one
+    while missing the other), so rows keep families disjoint. Singletons
+    get rows of every candidate: on point searches the pair counts cost
+    more time than they save.
 
     Cuts drop branches that cannot beat the best depth found:
     - early stop: once the best depth reaches n_cap the whole search ends;
@@ -260,41 +259,35 @@ def _max_family(
             disjoint.append(db)
     n_keep = len(keep)
     paired = sum(map(int.bit_count, candidates)) > len(candidates)  # not all singletons
-    # pair counts come from float32 products while the 0/1 side matrix stays
-    # below BLAS's threading size (so K < 2^24 and the counts are exact),
-    # past it from popcounts
-    dense = 4 * K * n_keep <= _GEMM_ENTRIES
     rows: list[int | None] = [None] * n_keep
-    sides = None
+    words = (K + 63) // 64
+    packed = None
     best_depth = 0
     best_chosen: tuple[int, ...] = ()
     nodes = 0
 
     def build_rows(j: int) -> int:
-        """Rows of j's block (j alone for popcounts) at the current best
-        depth; returns row j."""
-        nonlocal sides
+        """Rows of j's block at the current best depth; returns row j."""
+        nonlocal packed
         least = 1 << max(best_depth - 1, 0)
-        if not dense:  # one row, from four popcounts per later candidate
-            cj, dj = contains[j], disjoint[j]
-            row = 0
-            for i in range(j + 1, n_keep):
-                ci, di = contains[i], disjoint[i]
-                if all((x & y).bit_count() >= least for x in (cj, dj) for y in (di, ci)):
-                    row |= 1 << i
-            rows[j] = row
-            return row
-        if sides is None:  # 0/1 rows: contains_0, disjoint_0, contains_1, ...
-            interleaved = [x for pair in zip(contains, disjoint) for x in pair]
-            sides = membership_matrix(interleaved, K).astype(np.float32)
-        # blocks sized so each product stays below BLAS's threading size
-        block = _GEMM_ENTRIES // (4 * K * n_keep)
+        if packed is None:  # [word, candidate, side]: contains 0, disjoint 1
+            sides = chain(*zip(contains, disjoint))
+            packed = np.frombuffer(
+                b"".join(x.to_bytes(8 * words, "little") for x in sides), np.uint64
+            ).reshape(n_keep, 2, words).transpose(2, 0, 1).copy()
+        block = max(1, _GEMM_ENTRIES // (4 * words * n_keep))
         a = j - j % block
         b = min(a + block, n_keep)
-        # joint counts against candidates a.. only: a live set never holds
-        # candidates before the one being tried
-        counts = sides[2 * a : 2 * b] @ sides[2 * a :].T
-        q = counts.reshape(b - a, 2, n_keep - a, 2)
+        step = max(1, _GEMM_ENTRIES // (4 * (b - a) * (n_keep - a)))
+        # joint counts [row, side, candidate, side] against candidates a..
+        # only: a live set never holds candidates before the one being tried
+        q = sum(
+            np.bitwise_count(
+                packed[w : w + step, a:b, :, None, None]
+                & packed[w : w + step, None, None, a:]
+            ).sum(axis=0, dtype=np.uint32)  # counts <= K < 2^32
+            for w in range(0, words, step)
+        )
         fewest = np.minimum(
             np.minimum(q[:, 0, :, 0], q[:, 0, :, 1]),
             np.minimum(q[:, 1, :, 0], q[:, 1, :, 1]),
@@ -358,6 +351,7 @@ def _max_family(
                 need = 1 << gap
 
     rec((1 << n_keep) - 1, n_keep, (), [full])
+    del rec  # rec closes over itself: unbound, the bitsets go with this call
     return best_depth, best_chosen, nodes
 
 

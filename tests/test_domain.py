@@ -169,6 +169,11 @@ def test_cluster_family_checks():
         ClusterFamily(d, (a, Concept.from_indices(6, [1, 4])), min_size=2)
     with pytest.raises(ValueError):
         ClusterFamily(d, (a,), min_size=3)
+    # a bool is no size; a numpy integer is one, stored as an int
+    with pytest.raises(ValueError):
+        ClusterFamily(d, (a,), min_size=True)
+    fam = ClusterFamily(d, (a, b), min_size=np.int64(2))
+    assert fam.min_size == 2 and type(fam.min_size) is int
 
 
 def test_principal_ideal_membership():

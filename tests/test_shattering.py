@@ -194,15 +194,22 @@ def uncut_max_family(masks, candidates):
     return len(best), best
 
 
-def family_instance(trial):
-    """Distinct sorted masks on m <= 12 points (K <= 120), every cluster of
-    one size (1, 2 or 3 points) as candidates, and the search's cap. Half
-    the classes hold every union of a few planted disjoint clusters, each
-    with random points added off the planted ones, so deep families occur."""
-    rng = derive_rng(4141, "family", trial)
-    size = int(rng.integers(1, 4))
-    m = int(rng.integers(size, 13))
-    k = int(rng.integers(1, min(120, 1 << m) + 1))
+def family_instance(trial, k=None):
+    """Distinct sorted masks on m <= 12 points, every cluster of one size
+    (1, 2 or 3 points) as candidates, and the search's cap. Without k there
+    are at most 120 masks; with k there are exactly k, on m points with
+    2^m > 4k. Half the classes hold every union of a few planted disjoint
+    clusters, each with random points added off the planted ones, so deep
+    families occur."""
+    if k is None:
+        rng = derive_rng(4141, "family", trial)
+        size = int(rng.integers(1, 4))
+        m = int(rng.integers(size, 13))
+        k = int(rng.integers(1, min(120, 1 << m) + 1))
+    else:
+        rng = derive_rng(4141, "wide", k, trial)
+        size = int(rng.integers(1, 4))
+        m = int(rng.integers(k.bit_length() + 2, 13))
     masks = set()
     if rng.random() < 0.5:
         r = int(rng.integers(1, min(m // size, 6) + 1))
@@ -220,10 +227,14 @@ def family_instance(trial):
     return masks, cands, min(m // size, len(masks).bit_length() - 1)
 
 
-@pytest.mark.parametrize("rows", ["products", "popcounts"])
-def test_max_family_matches_uncut_dfs(rows, monkeypatch):
-    if rows == "popcounts":  # as on classes too wide for the float32 products
-        monkeypatch.setattr(shattering, "_GEMM_ENTRIES", 0)
+# _GEMM_ENTRIES sizes the blocks of pair rows: 0 builds one row per block
+# from one word at a time, 1 << 40 all rows in one block
+BLOCK_SIZES = {"row": 0, "default": shattering._GEMM_ENTRIES, "one-block": 1 << 40}
+
+
+@pytest.mark.parametrize("entries", BLOCK_SIZES.values(), ids=BLOCK_SIZES.keys())
+def test_max_family_matches_uncut_dfs(entries, monkeypatch):
+    monkeypatch.setattr(shattering, "_GEMM_ENTRIES", entries)
     sizes = set()
     for trial in range(320):
         masks, cands, n_cap = family_instance(trial)
@@ -233,19 +244,35 @@ def test_max_family_matches_uncut_dfs(rows, monkeypatch):
     assert sizes == {1, 2, 3}
 
 
+@pytest.mark.parametrize("k", [63, 64, 65, 127, 128, 129, 257, 500])
+def test_max_family_multiword_matches_uncut_dfs(k):
+    # concept bitsets of one, two and more 64-bit words, and their edges
+    sizes = set()
+    for trial in range(6):
+        masks, cands, n_cap = family_instance(trial, k)
+        assert len(masks) == k
+        sizes.add(cands[0].bit_count())
+        n, chosen, _ = _max_family(masks, cands, n_cap, 10**7)
+        assert (n, chosen) == uncut_max_family(masks, cands), (k, trial)
+    assert sizes == {1, 2, 3}
+
+
 def test_max_family_row_builds_do_not_change_the_search(monkeypatch):
-    # popcount rows, products in blocks, all candidates in one product
+    # one row per block, the default blocks, all rows in one block: the
+    # same rows, so the same witnesses and node counts
+    instances = [family_instance(t) for t in range(40)]
+    instances += [family_instance(t, k) for k in (65, 129, 500) for t in range(3)]
     runs = []
-    for entries in (0, shattering._GEMM_ENTRIES, 1 << 40):
+    for entries in BLOCK_SIZES.values():
         monkeypatch.setattr(shattering, "_GEMM_ENTRIES", entries)
-        runs.append([_max_family(*family_instance(t), 10**7) for t in range(40)])
+        runs.append([_max_family(*inst, 10**7) for inst in instances])
     assert runs[0] == runs[1] == runs[2]
 
 
 def test_vc_thick_wide_class_keeps_memory_bounded():
-    # 2^16 concepts and 120 pairs: a float32 side matrix would take 63 MB,
-    # and products of that size would run BLAS threaded, so rows come from
-    # popcounts of the bitsets
+    # 2^16 concepts and 120 pairs: the side bitsets packed into 1,024
+    # words each take 2 MB, and each one-row block ANDs them in chunks of
+    # about 2 MB; a 0/1 side matrix of float32 would take 63 MB
     cls = gen_power_set(16)
     tracemalloc.start()
     try:
