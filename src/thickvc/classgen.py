@@ -23,7 +23,6 @@ def gen_finite_cofinite(
     t: int,
     *,
     backend: str = "auto",
-    max_concepts: int = DENSE_CONCEPT_LIMIT,
 ) -> ConceptClass | FiniteCofiniteClass:
     """All subsets of size <= t plus all of co-size <= t on m points.
 
@@ -33,21 +32,22 @@ def gen_finite_cofinite(
 
     The class has 2 + 2 * sum_{1<=k<=t} C(m, k) members, which explodes
     quickly; backend "dense" materializes a ConceptClass and refuses past
-    max_concepts, backend "structured" returns the parameter-backed
-    FiniteCofiniteClass with identical enumeration semantics, and "auto"
-    picks whichever fits. The learning and deviation code accepts both.
+    DENSE_CONCEPT_LIMIT concepts, backend "structured" returns the
+    parameter-backed FiniteCofiniteClass with identical enumeration
+    semantics, and "auto" picks whichever fits. The learning and deviation
+    code accepts both.
     """
     params = FiniteCofiniteClass(m, t)  # validates 0 <= t < m/2
     if backend not in ("auto", "dense", "structured"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "structured":
         return params
-    if params.size > max_concepts:
+    if params.size > DENSE_CONCEPT_LIMIT:
         if backend == "auto":
             return params
         raise WorkLimitExceeded(
-            f"{params.size} concepts exceed the dense limit {max_concepts}",
-            max_concepts,
+            f"{params.size} concepts exceed the dense limit {DENSE_CONCEPT_LIMIT}",
+            DENSE_CONCEPT_LIMIT,
         )
     dom = Domain(m)
     full = (1 << m) - 1

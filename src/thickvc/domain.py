@@ -31,8 +31,10 @@ class Domain:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        require_int(self.size, "domain size")
+        if self.size < 1:
             raise ValueError(f"domain size must be a positive int, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))
         if self.labels is not None:
             labels = tuple(self.labels)
             object.__setattr__(self, "labels", labels)
@@ -89,9 +91,10 @@ class Concept:
     bits: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        # type() refuses bools too, without a call on this hot path
+        if type(self.m) is not int or self.m < 1:
             raise ValueError(f"concept width must be a positive int, got {self.m!r}")
-        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> self.m:
+        if type(self.bits) is not int or self.bits < 0 or self.bits >> self.m:
             raise ValueError(f"mask {self.bits!r} out of range for width {self.m}")
 
     # constructors

@@ -305,7 +305,7 @@ def pattern_packing(d: int, epsilon) -> PatternPackingResult:
     acceptance test, and at the end every mask is covered, certifying
     maximality (hence the covering bound count >= 2^d / ball volume).
     """
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError(f"d must be a positive int, got {d!r}")
     eps = _decimal_fraction(epsilon)
     if not 0 < eps < Fraction(1, 4):
@@ -346,7 +346,7 @@ def packing_lower_bounds(d: int, epsilon) -> PackingBounds:
     C(d, k), exact rational. chernoff_okamoto: exp(2 (1/2 - 2 eps)^2 d).
     The combinatorial bound must dominate; a violation is a bug.
     """
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError(f"d must be a positive int, got {d!r}")
     eps = _decimal_fraction(epsilon)
     if not 0 < eps < Fraction(1, 4):

@@ -124,9 +124,9 @@ class FiniteCofiniteClass:
     t: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ValueError(f"m must be a positive int, got {self.m!r}")
-        if not isinstance(self.t, int) or not 0 <= self.t < self.m / 2:
+        if type(self.t) is not int or not 0 <= self.t < self.m / 2:
             raise ValueError(f"t must satisfy 0 <= t < m/2, got t={self.t!r}")
 
     @property

@@ -13,7 +13,8 @@ Point-set files are a single JSON document:
     {"format": "point-set", "version": 1, "m": <int>, "points": [<ints>]}
 
 Parsers are strict: wrong tags, unknown versions, count or length
-mismatches, and stray trailing lines are all rejected.
+mismatches, stray trailing lines and a boolean given as m, count or a
+point are all rejected.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def load_class(text: str) -> ConceptClass:
         raise FormatError(f"unsupported version {header.get('version')!r}")
     m = header.get("m")
     count = header.get("count")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise FormatError(f"bad domain size {m!r}")
-    if not isinstance(count, int) or count < 0:
+    if type(count) is not int or count < 0:
         raise FormatError(f"bad concept count {count!r}")
     body = [ln for ln in lines[1:] if ln.strip() != ""]
     if len(body) != count:
@@ -119,9 +120,9 @@ def load_point_set(text: str) -> Concept:
         raise FormatError(f"unsupported version {doc.get('version')!r}")
     m = doc.get("m")
     pts = doc.get("points")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise FormatError(f"bad domain size {m!r}")
-    if not isinstance(pts, list) or not all(isinstance(i, int) for i in pts):
+    if not isinstance(pts, list) or not all(type(i) is int for i in pts):
         raise FormatError("points must be a list of ints")
     try:
         return Concept.from_indices(m, pts)

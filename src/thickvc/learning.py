@@ -246,7 +246,7 @@ def sample_complexity_bound(epsilon: float, delta: float, d: int) -> int:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon!r}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta!r}")
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError(f"d must be a positive int, got {d!r}")
     inner = (2.0 * math.e**2 / epsilon) * math.log(2.0 * math.e / epsilon)
     val = (128.0 / epsilon**2) * (d * math.log(inner) + math.log(8.0 / delta))

@@ -15,9 +15,6 @@ import zlib
 
 import numpy as np
 
-# Recorded in result envelopes so outputs are self-describing.
-RNG_ALGORITHM = "philox-4x64 via numpy.random.Generator, SeedSequence spawn-free derivation"
-
 
 def _fold(label: int | str) -> int:
     if isinstance(label, bool):

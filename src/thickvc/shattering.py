@@ -88,32 +88,21 @@ class ShatterCertificate:
         if any(not 0 <= k < len(cls.concepts) for k in self.carvers.values()):
             return False
         if self.kind == "points":
-            if self.witness.m != cls.domain.size:
-                return False
-            order = self.witness.indices()
-            for pat, k in self.carvers.items():
-                cbits = cls.concepts[k].bits
-                got = 0
-                for j, p in enumerate(order):
-                    if cbits >> p & 1:
-                        got |= 1 << j
-                if got != pat:
-                    return False
-            return True
-        if self.kind == "clusters":
-            fam = self.witness
-            if fam.domain.size != cls.domain.size:
-                return False
-            for pat, k in self.carvers.items():
-                c = cls.concepts[k]
-                for i, a in enumerate(fam.clusters):
-                    if pat >> i & 1:
-                        if not a.issubset(c):
-                            return False
-                    elif not a.isdisjoint(c):
-                        return False
-            return True
-        return False
+            m = self.witness.m
+            masks = [1 << p for p in self.witness.indices()]
+        elif self.kind == "clusters":
+            m = self.witness.domain.size
+            masks = [a.bits for a in self.witness.clusters]
+        else:
+            return False
+        if m != cls.domain.size:
+            return False
+        union = sum(masks)
+        unions = _pattern_unions(masks)
+        return all(
+            cls.concepts[k].bits & union == unions[pat]
+            for pat, k in self.carvers.items()
+        )
 
 
 def trace_count(cls: ConceptClass, points: Concept | Iterable[int]) -> int:
@@ -166,23 +155,28 @@ def _side_bitsets(cols: list[int], full: int, cluster_mask: int) -> tuple[int, i
     return cb, full & ~hit
 
 
+def _pattern_unions(masks: list[int]) -> list[int]:
+    """Entry P is the union of the masks whose bits are set in P."""
+    unions = [0]
+    for a in masks:
+        unions += [u | a for u in unions]
+    return unions
+
+
 def _family_carvers(cls: ConceptClass, family_masks: list[int]) -> dict[int, int] | None:
-    """Least-index carver per pattern, or None if some pattern has none."""
-    n = len(family_masks)
-    cols = pack_rows(membership_matrix(cls.masks(), cls.domain.size).T)
-    full = (1 << len(cls.concepts)) - 1
-    sides = [_side_bitsets(cols, full, a) for a in family_masks]
-    carvers: dict[int, int] = {}
-    for pat in range(1 << n):
-        bs = full
-        for i, (cb, db) in enumerate(sides):
-            bs &= cb if pat >> i & 1 else db
-            if not bs:
-                return None
-        if not bs:
-            return None
-        carvers[pat] = (bs & -bs).bit_length() - 1
-    return carvers
+    """Least-index carver per pattern, or None if some pattern has none.
+
+    The clusters are disjoint and nonempty, so a concept carves pattern P
+    exactly when its trace on their union is the union of P's clusters.
+    """
+    union = sum(family_masks)
+    traces = [c.bits & union for c in cls.concepts]
+    # later entries overwrite earlier ones, so each trace keeps its least index
+    least = dict(zip(reversed(traces), range(len(traces) - 1, -1, -1)))
+    try:
+        return {pat: least[u] for pat, u in enumerate(_pattern_unions(family_masks))}
+    except KeyError:
+        return None
 
 
 def _max_family(
@@ -409,9 +403,7 @@ def is_strongly_shattered(
     if family.domain.size != cls.domain.size:
         raise DomainMismatch("family lives on a different domain")
     carvers = _family_carvers(cls, [a.bits for a in family.clusters])
-    if carvers is None:
-        return False, None
-    return True, carvers
+    return carvers is not None, carvers
 
 
 def vc_thick(

@@ -28,7 +28,6 @@ from .domain import (
 from .errors import DomainMismatch
 from .shattering import (
     DEFAULT_WORK_LIMIT,
-    ShatterCertificate,
     canonical_witness,
     is_strongly_shattered,
     vc_dimension,
@@ -197,10 +196,7 @@ def stone_check(
     )
     if cert is None:
         fam = ClusterFamily(cls.domain, (), 1)
-        ok, _ = is_strongly_shattered(cls, fam)
-        lift_valid = ok and vs == 0
     else:
         fam = lift_witness(cls, ideal, cert.carvers)
-        ok, _ = is_strongly_shattered(cls, fam)
-        lift_valid = ok and fam.n == vs
-    return StoneCheck(vm, vs, vm == vs, fam, lift_valid)
+    ok, _ = is_strongly_shattered(cls, fam)
+    return StoneCheck(vm, vs, vm == vs, fam, ok and fam.n == vs)

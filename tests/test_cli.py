@@ -260,6 +260,27 @@ def test_exit_codes(tmp_path):
     assert run_cli("pac-sim", "--config", str(cfg), "--seed", "1").returncode == 2
 
 
+def test_file_booleans_exit_2(tmp_path, capsys):
+    # json's true is no size or point, though Python reads it as the int 1
+    bool_m = tmp_path / "bool_m.class"
+    bool_m.write_text(
+        '{"count": 1, "format": "concept-class", "m": true, "version": 1}\n1\n'
+    )
+    good = tmp_path / "good.class"
+    save_class(gen_intervals(2), str(good))
+    bool_pts = tmp_path / "bool_pts.json"
+    bool_pts.write_text(
+        '{"format": "point-set", "m": 2, "points": [true, false], "version": 1}'
+    )
+    for argv in (
+        ["vc", "--class", str(bool_m)],
+        ["vc-mod", "--class", str(good), "--negligible", str(bool_pts)],
+    ):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "input error" in err, argv
+
+
 def test_pac_sim_no_hypothesis_exit(tmp_path):
     cfg = tmp_path / "pac.json"
     cfg.write_text(json.dumps({

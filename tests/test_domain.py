@@ -24,6 +24,11 @@ def test_domain_validation():
         Domain(0)
     with pytest.raises(ValueError):
         Domain(3, labels=("a", "b"))
+    # a bool is no size; a numpy integer is one, stored as an int
+    with pytest.raises(ValueError):
+        Domain(True)
+    assert Domain(np.int64(3)) == Domain(3)
+    assert type(Domain(np.int64(3)).size) is int
 
 
 def test_concept_constructors_and_queries():
@@ -39,6 +44,9 @@ def test_concept_constructors_and_queries():
     assert Concept.full(6).size == 6
     with pytest.raises(ValueError):
         Concept(3, 0b1000)  # bit out of width
+    for bad in [(True, 1), (3, True)]:  # bools are neither widths nor masks
+        with pytest.raises(ValueError):
+            Concept(*bad)
     with pytest.raises(ValueError):
         Concept.from_indices(3, [3])
 

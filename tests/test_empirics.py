@@ -300,6 +300,11 @@ def test_pattern_packing_validation():
         pattern_packing(5, "0.3")
     with pytest.raises(TypeError):
         pattern_packing(5, [1, 2])
+    # a bool is no dimension
+    with pytest.raises(ValueError):
+        pattern_packing(True, "0.1")
+    with pytest.raises(ValueError):
+        packing_lower_bounds(True, "0.1")
 
 
 def test_packing_lower_bounds_exact_values():

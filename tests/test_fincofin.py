@@ -72,6 +72,9 @@ def test_class_size_and_validation():
         FiniteCofiniteClass(10, 5)  # t < m/2 required
     with pytest.raises(ValueError):
         FiniteCofiniteClass(0, 0)
+    for bad in [(True, 0), (5, True)]:  # a bool is no size
+        with pytest.raises(ValueError):
+            FiniteCofiniteClass(*bad)
 
 
 def test_rank_unrank_match_dense_enumeration():

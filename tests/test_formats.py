@@ -70,6 +70,16 @@ def test_class_format_rejections():
         load_class("\n".join([json.dumps(hdr)] + lines[1:]))
 
 
+@pytest.mark.parametrize("field", ["m", "count"])
+def test_class_header_refuses_a_bool(field):
+    # json's true would otherwise pass as the int 1
+    header = {"format": "concept-class", "version": 1, "m": 1, "count": 1}
+    load_class(json.dumps(header) + "\n1\n")
+    header[field] = True
+    with pytest.raises(FormatError):
+        load_class(json.dumps(header) + "\n1\n")
+
+
 def test_point_set_round_trip(tmp_path):
     pts = Concept.from_indices(7, [0, 2, 6])
     text = dump_point_set(pts)
@@ -92,6 +102,16 @@ def test_point_set_rejections():
                 {"format": "point-set", "version": 1, "m": 3, "points": [3]}
             )
         )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"m": True, "points": [0]}, {"m": 2, "points": [True, False]}],
+    ids=["m", "points"],
+)
+def test_point_set_refuses_bools(doc):
+    with pytest.raises(FormatError):
+        load_point_set(json.dumps({"format": "point-set", "version": 1, **doc}))
 
 
 def test_dump_is_deterministic():

@@ -238,7 +238,7 @@ def test_sample_complexity_bound_shape():
     assert sample_complexity_bound(0.1, 0.01, 1) > sample_complexity_bound(
         0.1, 0.1, 1
     )
-    for bad in [(0.0, 0.1, 1), (0.1, 1.0, 1), (0.1, 0.1, 0)]:
+    for bad in [(0.0, 0.1, 1), (0.1, 1.0, 1), (0.1, 0.1, 0), (0.1, 0.1, True)]:
         with pytest.raises(ValueError):
             sample_complexity_bound(*bad)
 

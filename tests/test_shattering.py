@@ -1,6 +1,7 @@
 """Search-core tests. Oracles here are deliberately written over frozensets
 and itertools so they share no machinery with the bitmask implementations."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -356,6 +357,96 @@ def test_strong_shattering_matches_brute_force():
                         assert a.issubset(cc)
                     else:
                         assert a.isdisjoint(cc)
+
+
+def brute_least_carvers(concept_sets, clusters):
+    """Least-index carver of every pattern, or None if one has none."""
+    union = set().union(*clusters)
+    carvers = {}
+    for pat in range(2 ** len(clusters)):
+        inside = set().union(*(a for i, a in enumerate(clusters) if pat >> i & 1))
+        outside = union - inside
+        hits = [
+            k for k, c in enumerate(concept_sets) if inside <= c and not outside & c
+        ]
+        if not hits:
+            return None
+        carvers[pat] = hits[0]
+    return carvers
+
+
+def test_strong_shattering_carvers_are_least_index():
+    outcomes = set()
+    for trial in range(150):
+        rng = derive_rng(32, "least", trial)
+        n = int(rng.integers(0, 5))
+        size = int(rng.integers(1, 4))
+        m = n * size + int(rng.integers(1, 4))
+        pts = [int(p) for p in rng.permutation(m)]
+        clusters = [set(pts[i * size : (i + 1) * size]) for i in range(n)]
+        # concepts mostly carve some pattern, plus random points off the
+        # clusters; repeats test that the least index wins
+        count = 0 if trial % 25 == 0 else int(rng.integers(1, 3 * 2**n + 2))
+        sets = []
+        for _ in range(count):
+            c = {p for p in range(m) if rng.random() < 0.5}
+            if rng.random() < 0.8:
+                pat = int(rng.integers(0, 2**n))
+                c -= set().union(*clusters)
+                c |= set().union(*(a for i, a in enumerate(clusters) if pat >> i & 1))
+            sets.append(frozenset(c))
+            if rng.random() < 0.2:
+                sets.append(frozenset(c))
+        cls = ConceptClass(
+            Domain(m), tuple(Concept.from_indices(m, c) for c in sets)
+        )
+        fam = ClusterFamily(
+            cls.domain, tuple(Concept.from_indices(m, a) for a in clusters), 1
+        )
+        want = brute_least_carvers(sets, clusters)
+        assert is_strongly_shattered(cls, fam) == (want is not None, want), trial
+        outcomes.add((n, want is not None, count == 0))
+    # every family size, both answers and the empty class are covered
+    assert {n for n, _, _ in outcomes} == {0, 1, 2, 3, 4}
+    assert {(True, False), (False, False), (False, True)} <= {o[1:] for o in outcomes}
+
+
+def test_certificate_carvers_run_in_pattern_order():
+    for trial in range(30):
+        cls = random_class(trial, m_hi=8)
+        m = cls.domain.size
+        neg = PrincipalIdeal(Concept.from_indices(m, range(m // 3)))
+        for n, cert in (
+            vc_dimension(cls, want_certificate=True),
+            vc_thick(cls, 2, want_certificate=True),
+            vc_mod_ideal(cls, neg, want_certificate=True),
+        ):
+            assert list(cert.carvers) == list(range(2**n)), trial
+
+
+@pytest.mark.parametrize("kind", ["points", "clusters"])
+def test_validate_rejects_corrupted_certificates(kind):
+    cls = gen_power_set(4)
+    if kind == "points":
+        n, cert = vc_dimension(cls, want_certificate=True)
+        elsewhere = Concept(5, cert.witness.bits)
+    else:
+        n, cert = vc_thick(cls, 2, want_certificate=True)
+        elsewhere = ClusterFamily(
+            Domain(5), tuple(Concept(5, a.bits) for a in cert.witness.clusters), 2
+        )
+    assert cert.kind == kind and n >= 1 and cert.validate(cls)
+    carvers = cert.carvers
+    last = 2**n - 1
+    # each pattern in turn given its neighbour's carver, so every check counts
+    wrong = [{**carvers, p: carvers[p ^ 1]} for p in carvers]
+    for bad in wrong + [
+        {**carvers, 0: carvers[last], last: carvers[0]},  # swapped
+        {**carvers, last: len(cls.concepts)},  # index past K
+        {p: k for p, k in carvers.items() if p != last},  # missing pattern
+    ]:
+        assert not dataclasses.replace(cert, carvers=bad).validate(cls), bad
+    assert not dataclasses.replace(cert, witness=elsewhere).validate(cls)
 
 
 def test_vc_thick_against_brute_force():
