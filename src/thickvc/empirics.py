@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .domain import _GEMM_ENTRIES, Concept, ConceptClass, membership_matrix
-from .errors import WorkLimitExceeded
+from .domain import _GEMM_ENTRIES, ConceptClass, membership_matrix, pack_rows
+from .errors import DomainMismatch, WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
 from .learning import _quantile_points, _sample_blocks
 from .measures import DiscreteMeasure, _row_counts, symdiff_distance
@@ -196,42 +197,101 @@ def packing_number(
 ) -> PackingResult:
     """Most concepts pairwise at symdiff distance >= separation.
 
-    Exact mode runs branch-and-bound maximum clique on the separation graph
-    and raises past the node budget; greedy mode first-fits in class order
-    and only lower-bounds the true number. Distances are floats compared
-    with >= exactly; callers needing exact rational thresholds should use
-    pattern_packing.
+    Exact mode finds a maximum clique of the separation graph and raises
+    past the node budget; greedy mode first-fits in class order and only
+    lower-bounds the true number. A pair is an edge iff
+    symdiff_distance(a, b) >= separation, a float compared exactly;
+    callers needing exact rational thresholds should use pattern_packing.
+
+    Distances come from one float64 product: d = mu_i + mu_j - 2 c_ij, with
+    mu = M @ w and c = (M * w) @ M^T for the membership matrix M and the
+    weights w. Only pairs whose d lies within a rounding band of
+    separation are recomputed with symdiff_distance. Proof that the band
+    suffices: every mass here, and the sum symdiff_distance takes, adds at
+    most m nonnegative terms, each exact (w_k times 0 or 1), so in any
+    order it errs by at most g = m u / (1 - m u) <= 1.01 m u of its value
+    (u = eps / 2, and m u < 1/100 for any m that fits in memory), and no
+    value exceeds S = sum(w). Two more roundings put d within
+    5 (m + 1) u S of the true mass of the symmetric difference, and
+    symdiff_distance is within g S of it, so the two differ by under
+    7 (m + 1) u S. d - separation is rounded once more, by a factor 1 +- u.
+    Where it reaches band = 8 (m + 2) eps max(1, sum(w)), which is at
+    least 15 (m + 2) u S after all its own roundings, symdiff_distance
+    >= separation; where it is at most -band, symdiff_distance <
+    separation. So each edge is decided by that comparison itself, by
+    construction. Greedy mode takes one row at a time against the chosen
+    set. Exact mode takes whole rows, in blocks whose products stay within
+    _GEMM_ENTRIES multiply-adds (at least one row); inside the band, row i
+    recomputes only its pairs j >= i and copies column j < i from row j.
+
+    The clique search branches on vertices in index order and keeps a
+    clique only when it strictly beats the best, so the witness is the
+    first maximum clique in vertex order. Each node first stops when its
+    clique plus all its candidates cannot beat the best (Carraghan &
+    Pardalos 1990). It then colours its candidates first-fit from the
+    last vertex down, one colour class at a time (Tomita & Seki 2003).
+    The classes whose top vertex is v or later colour the candidates from
+    v on, so their number bounds any clique among them, and the node stops
+    at the first v where its clique plus that bound cannot beat the best.
+    Both cuts drop only branches that cannot strictly beat the best, so
+    the search meets the same first maximum clique as without them.
+    Nodes count branches taken.
     """
     cls.require_nonempty()
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if (
+        isinstance(separation, bool)
+        or not isinstance(separation, numbers.Real)
+        or not math.isfinite(separation)
+        or separation <= 0
+    ):
+        raise ValueError(
+            f"separation must be a positive finite real, got {separation!r}"
+        )
+    if measure.m != cls.domain.size:
+        raise DomainMismatch("measure and class must share a domain")
+    if mode not in ("exact", "greedy"):
+        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     K = len(cls.concepts)
+    m = measure.m
+    mat = membership_matrix(cls.masks(), m).astype(np.float64)
+    weighted = mat * measure._arr
+    mass = mat @ measure._arr
+    band = 8 * (m + 2) * np.finfo(np.float64).eps * max(1.0, measure._arr.sum())
+    ids = np.arange(K)
+
+    def far(rows, cols, adj: list[int] | None = None) -> np.ndarray:
+        """d(i, j) >= separation for i in rows and j in cols, slices or
+        index lists. Given adj, the finished rows before these (cols then
+        all of them), a pair j < i inside the band copies row j's answer."""
+        prod = weighted[rows] @ mat[cols].T
+        gap = mass[rows, None] + mass[cols] - 2 * prod - separation
+        out = gap >= band
+        row_ids, col_ids = ids[rows], ids[cols]
+        for r, c in zip(*np.nonzero(np.abs(gap) < band)):
+            i, j = int(row_ids[r]), int(col_ids[c])
+            if adj is not None and j < i:
+                out[r, c] = adj[j] >> i & 1 if j < len(adj) else out[j - len(adj), i]
+            else:
+                x, y = cls.concepts[i], cls.concepts[j]
+                out[r, c] = symdiff_distance(measure, x, y) >= separation
+        return out
+
     if mode == "greedy":
         chosen: list[int] = []
-        for i, c in enumerate(cls.concepts):
-            if all(
-                symdiff_distance(measure, c, cls.concepts[j]) >= separation
-                for j in chosen
-            ):
+        for i in range(K):
+            if far([i], chosen).all():
                 chosen.append(i)
         return PackingResult(len(chosen), tuple(chosen), False, separation)
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     if K * K > work_limit:
         raise WorkLimitExceeded(
             f"{K}^2 pairwise distances exceed the work limit {work_limit}",
             work_limit,
         )
-    # adjacency bitsets over class indices
-    adj = [0] * K
-    for i in range(K):
-        for j in range(i + 1, K):
-            if (
-                symdiff_distance(measure, cls.concepts[i], cls.concepts[j])
-                >= separation
-            ):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj: list[int] = []  # neighbour bitsets, a block of rows at a time
+    while len(adj) < K:
+        a = len(adj)
+        b = min(K, a + max(1, _GEMM_ENTRIES // (m * K)))
+        adj += pack_rows(far(slice(a, b), slice(0, K), adj))
     best: tuple[int, tuple[int, ...]] = (0, ())
     nodes = 0
 
@@ -243,10 +303,26 @@ def packing_number(
             return
         if len(clique) + allowed.bit_count() <= best[0]:
             return
+        # first-fit colouring from the last vertex down, one colour class
+        # at a time; heads holds each class's top vertex, descending
+        heads: list[int] = []
+        todo = allowed
+        while todo:
+            heads.append(todo.bit_length() - 1)
+            free = todo
+            while free:
+                v = free.bit_length() - 1
+                todo ^= 1 << v
+                free &= ~(adj[v] | 1 << v)
         rest = allowed
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
+            while heads[-1] < v:
+                heads.pop()
+            # the classes left colour the candidates from v on
+            if len(clique) + len(heads) <= best[0]:
+                return
             rest ^= low
             nodes += 1
             if nodes > work_limit:
@@ -254,8 +330,6 @@ def packing_number(
                     f"clique search passed {work_limit} nodes", work_limit
                 )
             grow(clique + (v,), rest & adj[v])
-            if len(clique) + 1 + (rest.bit_count()) <= best[0]:
-                return
 
     grow((), (1 << K) - 1)
     return PackingResult(best[0], best[1], True, separation)

@@ -12,9 +12,9 @@ Point-set files are a single JSON document:
 
     {"format": "point-set", "version": 1, "m": <int>, "points": [<ints>]}
 
-Parsers are strict: wrong tags, unknown versions, count or length
-mismatches, stray trailing lines and a boolean given as m, count or a
-point are all rejected.
+Parsers are strict: wrong tags, unknown or non-int versions, count or
+length mismatches, stray trailing lines, a boolean given as m, count or a
+point, and a non-boolean dedup are all rejected.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ from .errors import FormatError
 CLASS_TAG = "concept-class"
 POINTSET_TAG = "point-set"
 FORMAT_VERSION = 1
+
+
+def _check_version(doc: dict) -> None:
+    # type() refuses json's true, which == 1
+    v = doc.get("version")
+    if type(v) is not int or v != FORMAT_VERSION:
+        raise FormatError(f"unsupported version {v!r}")
 
 
 def dump_class(cls: ConceptClass) -> str:
@@ -56,14 +63,16 @@ def load_class(text: str) -> ConceptClass:
         raise FormatError(f"bad class header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CLASS_TAG:
         raise FormatError(f"not a {CLASS_TAG} document")
-    if header.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {header.get('version')!r}")
+    _check_version(header)
     m = header.get("m")
     count = header.get("count")
     if type(m) is not int or m < 1:
         raise FormatError(f"bad domain size {m!r}")
     if type(count) is not int or count < 0:
         raise FormatError(f"bad concept count {count!r}")
+    dedup = header.get("dedup", False)
+    if type(dedup) is not bool:
+        raise FormatError(f"dedup must be true or false, got {dedup!r}")
     body = [ln for ln in lines[1:] if ln.strip() != ""]
     if len(body) != count:
         raise FormatError(f"header says {count} concepts, found {len(body)}")
@@ -84,7 +93,7 @@ def load_class(text: str) -> ConceptClass:
         labels = tuple(labels)
     try:
         domain = Domain(m, labels)
-        return ConceptClass(domain, tuple(concepts), dedup=bool(header.get("dedup", False)))
+        return ConceptClass(domain, tuple(concepts), dedup=dedup)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -116,8 +125,7 @@ def load_point_set(text: str) -> Concept:
         raise FormatError(f"bad point-set document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != POINTSET_TAG:
         raise FormatError(f"not a {POINTSET_TAG} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {doc.get('version')!r}")
+    _check_version(doc)
     m = doc.get("m")
     pts = doc.get("points")
     if type(m) is not int or m < 1:

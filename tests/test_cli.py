@@ -242,6 +242,18 @@ def test_packing_class_mode_and_mutual_exclusion(tmp_path):
     assert none.returncode == 2
 
 
+@pytest.mark.parametrize("sep", ["nan", "inf", "0"])
+def test_packing_refuses_a_bad_separation(tmp_path, capsys, sep):
+    # nan once reached stdout as "separation":NaN, which is no JSON
+    out = tmp_path / "ps.class"
+    save_class(gen_power_set(3), str(out))
+    for mode in ("exact", "greedy"):
+        argv = ["packing", "--class", str(out), "--separation", sep, "--mode", mode]
+        code = cli.main(argv)
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "" and "separation" in err, argv
+
+
 def test_exit_codes(tmp_path):
     # 2: missing input file
     assert run_cli("vc", "--class", str(tmp_path / "nope.class")).returncode == 2
@@ -261,7 +273,8 @@ def test_exit_codes(tmp_path):
 
 
 def test_file_booleans_exit_2(tmp_path, capsys):
-    # json's true is no size or point, though Python reads it as the int 1
+    # json's true is no size, point or version, though Python reads it as
+    # the int 1
     bool_m = tmp_path / "bool_m.class"
     bool_m.write_text(
         '{"count": 1, "format": "concept-class", "m": true, "version": 1}\n1\n'
@@ -272,9 +285,26 @@ def test_file_booleans_exit_2(tmp_path, capsys):
     bool_pts.write_text(
         '{"format": "point-set", "m": 2, "points": [true, false], "version": 1}'
     )
+    # a non-int version, and a dedup flag that is no bool
+    bool_version = tmp_path / "bool_version.class"
+    bool_version.write_text(
+        '{"count": 1, "format": "concept-class", "m": 1, "version": true}\n1\n'
+    )
+    str_dedup = tmp_path / "str_dedup.class"
+    str_dedup.write_text(
+        '{"count": 1, "dedup": "no", "format": "concept-class", "m": 1, '
+        '"version": 1}\n1\n'
+    )
+    bool_pts_version = tmp_path / "bool_pts_version.json"
+    bool_pts_version.write_text(
+        '{"format": "point-set", "m": 2, "points": [0], "version": true}'
+    )
     for argv in (
         ["vc", "--class", str(bool_m)],
         ["vc-mod", "--class", str(good), "--negligible", str(bool_pts)],
+        ["vc", "--class", str(bool_version)],
+        ["vc", "--class", str(str_dedup)],
+        ["vc-mod", "--class", str(good), "--negligible", str(bool_pts_version)],
     ):
         code = cli.main(argv)
         out, err = capsys.readouterr()

@@ -1,8 +1,12 @@
 """Deviation estimation and packing, checked against exact small cases."""
 
+import functools
+import importlib.util
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from thickvc import (
     ConceptClass,
     DiscreteMeasure,
     Domain,
+    DomainMismatch,
     FiniteCofiniteClass,
     WorkLimitExceeded,
     derive_rng,
@@ -24,6 +29,7 @@ from thickvc import (
     packing_lower_bounds,
     packing_number,
     pattern_packing,
+    symdiff_distance,
     ugc_cell,
     ugc_curve,
     uniform,
@@ -263,6 +269,212 @@ def test_packing_number_guards():
         packing_number(cls, mu, 0.25, mode="other")
     with pytest.raises(WorkLimitExceeded):
         packing_number(cls, mu, 0.25, work_limit=10)
+
+
+@pytest.mark.parametrize(
+    "sep",
+    [True, np.True_, math.nan, math.inf, -math.inf, -0.5, "0.5", Decimal("0.5")],
+    ids=["true", "np_true", "nan", "inf", "-inf", "negative", "str", "decimal"],
+)
+def test_packing_number_refuses_bad_separations(sep):
+    # True would read as 1.0, nan compares false with every distance, and
+    # a Decimal does not mix with float arithmetic
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ValueError, match="separation"):
+            packing_number(gen_power_set(3), uniform(3), sep, mode=mode)
+
+
+def test_packing_number_takes_any_real_separation():
+    # the float 1/3 falls short of Fraction(1, 3), so distance-1 pairs of
+    # power_set(3) are no edges there: only the per-pair test gets that
+    cls, mu = gen_power_set(3), uniform(3)
+    for sep in (Fraction(1, 3), 1 / 3, np.float32(0.5), 1):
+        for mode in ("exact", "greedy"):
+            res = packing_number(cls, mu, sep, mode=mode)
+            assert (res.count, res.witness) == _reference_packing(cls, mu, sep, mode)
+    assert packing_number(cls, mu, Fraction(1, 3)).count == 4
+    assert packing_number(cls, mu, 1 / 3).count == 8
+
+
+def test_packing_number_checks_the_domain_first():
+    # one concept needs no distance, so only an up-front check can catch it
+    one = ConceptClass(Domain(3), (Concept.full(3),))
+    for mode in ("exact", "greedy"):
+        with pytest.raises(DomainMismatch):
+            packing_number(one, uniform(4), 0.5, mode=mode)
+        assert packing_number(one, uniform(3), 0.5, mode=mode).count == 1
+
+
+def _reference_packing(cls, mu, sep, mode="exact", work_limit=None):
+    """The packing search as first written: one symdiff_distance per pair,
+    and branches cut only by the clique-size bound. Returns (count,
+    witness); past work_limit nodes it raises WorkLimitExceeded."""
+    concepts = cls.concepts
+    K = len(concepts)
+    if mode == "greedy":
+        chosen = []
+        for i, c in enumerate(concepts):
+            if all(symdiff_distance(mu, c, concepts[j]) >= sep for j in chosen):
+                chosen.append(i)
+        return len(chosen), tuple(chosen)
+    adj = [0] * K
+    for i, j in itertools.combinations(range(K), 2):
+        if symdiff_distance(mu, concepts[i], concepts[j]) >= sep:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    best = (0, ())
+    nodes = 0
+
+    def grow(clique, allowed):
+        nonlocal best, nodes
+        if len(clique) > best[0]:
+            best = (len(clique), clique)
+        if len(clique) + allowed.bit_count() <= best[0]:
+            return
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nodes += 1
+            if work_limit is not None and nodes > work_limit:
+                raise WorkLimitExceeded("reference passed its node limit")
+            v = low.bit_length() - 1
+            grow(clique + (v,), rest & adj[v])
+            if len(clique) + 1 + rest.bit_count() <= best[0]:
+                return
+
+    grow((), (1 << K) - 1)
+    return best
+
+
+@functools.cache
+def _packing_case(k):
+    """Instance k: a random class, a measure and a separation, with the
+    reference's (count, witness) in both modes. Four kinds take turns:
+    uniform weights at an exact tie k/m, skewed weights at a distance some
+    pair achieves, atoms of 1e-12 next to one heavy point at a multiple of
+    the tiny atom (or 1 less one), and random weights and separations."""
+    rng = derive_rng(5151, "packing-case", k)
+    m = int(rng.integers(1, 14))
+    cls = gen_random(m, int(rng.integers(1, 25)), float(rng.uniform(0.2, 0.8)),
+                     seed=90_000 + k)
+    kind = k % 4
+    if kind == 0:
+        mu = uniform(m)
+        sep = int(rng.integers(1, m + 1)) / m
+    elif kind == 1:
+        w = rng.random(m) ** 4 + 1e-3
+        mu = DiscreteMeasure(tuple(w / w.sum()))
+        i, j = (int(x) for x in rng.integers(0, len(cls.concepts), 2))
+        sep = symdiff_distance(mu, cls.concepts[i], cls.concepts[j]) or 0.5
+    elif kind == 2:
+        tiny = int(rng.integers(1, m + 1))
+        w = np.zeros(m)
+        w[:tiny] = 1e-12
+        w[int(rng.integers(0, m))] = 1.0
+        mu = DiscreteMeasure(tuple(w / w.sum()))
+        t = int(rng.integers(1, m + 1)) * 1e-12
+        sep = float(rng.choice([t, 1.0 - t, 1.0]))
+    else:
+        w = rng.random(m)
+        mu = DiscreteMeasure(tuple(w / w.sum()))
+        sep = float(rng.uniform(0.05, 0.95))
+    ref = {mode: _reference_packing(cls, mu, sep, mode) for mode in ("exact", "greedy")}
+    return cls, mu, sep, ref
+
+
+@pytest.mark.parametrize(
+    "gemm_entries", [0, empirics._GEMM_ENTRIES, 1 << 40],
+    ids=["row", "default", "one_block"],
+)
+def test_packing_number_matches_the_reference_search(monkeypatch, gemm_entries):
+    # blocks of one row, of the default size and one block for the whole class
+    monkeypatch.setattr(empirics, "_GEMM_ENTRIES", gemm_entries)
+    rechecks = 0
+
+    def counted(*args):
+        nonlocal rechecks
+        rechecks += 1
+        return symdiff_distance(*args)
+
+    monkeypatch.setattr(empirics, "symdiff_distance", counted)
+    for k in range(320):
+        cls, mu, sep, ref = _packing_case(k)
+        for mode in ("exact", "greedy"):
+            res = packing_number(cls, mu, sep, mode=mode)
+            assert (res.count, res.witness) == ref[mode], (k, mode)
+            assert res.exact == (mode == "exact") and res.separation == sep
+    # ties and tiny atoms put pairs inside the rounding band
+    assert rechecks > 300
+
+
+def _clique_instance(K, edges):
+    """A class and a separation whose packing graph under uniform weights
+    is the given graph on K vertices. Concepts i and j share one point iff
+    ij is no edge, and private points pad every concept to s points, so
+    d(i, j) is 2s/m on an edge and (2s - 2)/m off one; the separation
+    (2s - 1)/m lies between."""
+    non_edges = [p for p in itertools.combinations(range(K), 2) if p not in edges]
+    members = [[q for q, p in enumerate(non_edges) if i in p] for i in range(K)]
+    s = 1 + max(map(len, members))
+    m = len(non_edges)
+    for pts in members:
+        pad = s - len(pts)
+        pts += range(m, m + pad)
+        m += pad
+    concepts = tuple(Concept.from_indices(m, pts) for pts in members)
+    return ConceptClass(Domain(m), concepts), (2 * s - 1) / m
+
+
+def _load_perfbench_oracles():
+    """perfbench/oracles.py, which is no package, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_packing_number_matches_clique_oracles():
+    import networkx as nx
+
+    oracles = _load_perfbench_oracles()
+    rng = derive_rng(6262, "graphs")
+    for trial in range(80):
+        K = int(rng.integers(1, 19))
+        p = float(rng.uniform(0.1, 0.95))
+        edges = {e for e in itertools.combinations(range(K), 2) if rng.random() < p}
+        cls, sep = _clique_instance(K, edges)
+        mu = uniform(cls.domain.size)
+        res = packing_number(cls, mu, sep)
+        g = nx.Graph()
+        g.add_nodes_from(range(K))
+        g.add_edges_from(edges)
+        cliques = [tuple(sorted(c)) for c in nx.find_cliques(g)]
+        omega = max(map(len, cliques))
+        adj = [sum(1 << j for j in range(K) if tuple(sorted((i, j))) in edges)
+               for i in range(K)]
+        assert res.count == omega == oracles.max_clique(adj), trial
+        assert nx.max_weight_clique(g, weight=None)[1] == omega, trial
+        # the witness is the first maximum clique in vertex order
+        assert res.witness == min(c for c in cliques if len(c) == omega), trial
+        chosen = []
+        for i in range(K):
+            if all(tuple(sorted((i, j))) in edges for j in chosen):
+                chosen.append(i)
+        assert packing_number(cls, mu, sep, mode="greedy").witness == tuple(chosen)
+
+
+def test_packing_number_node_guard():
+    # intervals(11) in class order at separation 4.5/11: the size-bound
+    # search alone passes 2 K^2 nodes; the colouring bound needs about 50
+    cls = gen_intervals(11)
+    mu = uniform(11)
+    K = len(cls.concepts)
+    with pytest.raises(WorkLimitExceeded):
+        _reference_packing(cls, mu, 4.5 / 11, work_limit=2 * K * K)
+    res = packing_number(cls, mu, 4.5 / 11, work_limit=K * K)
+    assert (res.count, res.witness) == _reference_packing(cls, mu, 4.5 / 11)
 
 
 def test_pattern_packing_agrees_with_generic_greedy():

@@ -80,6 +80,28 @@ def test_class_header_refuses_a_bool(field):
         load_class(json.dumps(header) + "\n1\n")
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+def test_headers_refuse_a_non_int_version(version):
+    # json's true == 1 and 1.0 == 1 in Python; neither is the int version
+    header = {"format": "concept-class", "version": version, "m": 1, "count": 1}
+    with pytest.raises(FormatError, match="version"):
+        load_class(json.dumps(header) + "\n1\n")
+    doc = {"format": "point-set", "version": version, "m": 2, "points": [0]}
+    with pytest.raises(FormatError, match="version"):
+        load_point_set(json.dumps(doc))
+
+
+@pytest.mark.parametrize("dedup", ["no", "", 0, 1, None, [True]])
+def test_class_header_refuses_a_non_bool_dedup(dedup):
+    # bool("no") is True: a string would otherwise turn dedup on
+    header = {"format": "concept-class", "version": 1, "m": 1, "count": 2}
+    body = "\n0\n1\n"
+    for ok in (True, False):
+        assert load_class(json.dumps({**header, "dedup": ok}) + body).dedup is ok
+    with pytest.raises(FormatError, match="dedup"):
+        load_class(json.dumps({**header, "dedup": dedup}) + body)
+
+
 def test_point_set_round_trip(tmp_path):
     pts = Concept.from_indices(7, [0, 2, 6])
     text = dump_point_set(pts)
