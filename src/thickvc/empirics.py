@@ -203,26 +203,29 @@ def packing_number(
     symdiff_distance(a, b) >= separation, a float compared exactly;
     callers needing exact rational thresholds should use pattern_packing.
 
-    Distances come from one float64 product: d = mu_i + mu_j - 2 c_ij, with
-    mu = M @ w and c = (M * w) @ M^T for the membership matrix M and the
-    weights w. Only pairs whose d lies within a rounding band of
-    separation are recomputed with symdiff_distance. Proof that the band
-    suffices: every mass here, and the sum symdiff_distance takes, adds at
-    most m nonnegative terms, each exact (w_k times 0 or 1), so in any
-    order it errs by at most g = m u / (1 - m u) <= 1.01 m u of its value
-    (u = eps / 2, and m u < 1/100 for any m that fits in memory), and no
-    value exceeds S = sum(w). Two more roundings put d within
+    Exact mode reads distances off one float64 product: d = mu_i + mu_j -
+    2 c_ij, with mu = M @ w and c = (M * w) @ M^T for the membership matrix
+    M and the weights w, in blocks of rows whose products stay within
+    _GEMM_ENTRIES multiply-adds (at least one row). Only pairs whose d lies
+    within a rounding band of separation are recomputed with
+    symdiff_distance. Proof that the band suffices: every mass here, and
+    the sum symdiff_distance takes, adds at most m nonnegative terms, each
+    exact (w_k times 0 or 1), so in any order it errs by at most
+    g = m u / (1 - m u) <= 1.01 m u of its value (u = eps / 2, and
+    m u < 1/100 for any m that fits in memory), and no value exceeds
+    S = sum(w); let T = max(1, S). Two more roundings put d within
     5 (m + 1) u S of the true mass of the symmetric difference, and
     symdiff_distance is within g S of it, so the two differ by under
-    7 (m + 1) u S. d - separation is rounded once more, by a factor 1 +- u.
-    Where it reaches band = 8 (m + 2) eps max(1, sum(w)), which is at
-    least 15 (m + 2) u S after all its own roundings, symdiff_distance
-    >= separation; where it is at most -band, symdiff_distance <
-    separation. So each edge is decided by that comparison itself, by
-    construction. Greedy mode takes one row at a time against the chosen
-    set. Exact mode takes whole rows, in blocks whose products stay within
-    _GEMM_ENTRIES multiply-adds (at least one row); inside the band, row i
-    recomputes only its pairs j >= i and copies column j < i from row j.
+    7 (m + 1) u T. The separation enters the product as the float
+    t = min(separation, 2 S + 1): past 2 S + 1 no pair is an edge and
+    d - t stays far below zero, and below it t is within 3 u T of
+    separation. d - t is rounded once more, by a factor 1 +- u. Where it
+    reaches band = 8 (m + 2) eps T, which is at least 15 (m + 2) u T after
+    its own roundings, symdiff_distance >= separation; where it is at most
+    -band, symdiff_distance < separation. So each edge is decided by that
+    comparison itself, by construction. Greedy mode compares each concept
+    with symdiff_distance against the chosen ones and stops at the first
+    near one.
 
     The clique search branches on vertices in index order and keeps a
     clique only when it strictly beats the best, so the witness is the
@@ -241,57 +244,47 @@ def packing_number(
     if (
         isinstance(separation, bool)
         or not isinstance(separation, numbers.Real)
-        or not math.isfinite(separation)
-        or separation <= 0
+        or not 0 < separation < math.inf
     ):
         raise ValueError(
             f"separation must be a positive finite real, got {separation!r}"
         )
     if measure.m != cls.domain.size:
         raise DomainMismatch("measure and class must share a domain")
-    if mode not in ("exact", "greedy"):
-        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    K = len(cls.concepts)
-    m = measure.m
-    mat = membership_matrix(cls.masks(), m).astype(np.float64)
-    weighted = mat * measure._arr
-    mass = mat @ measure._arr
-    band = 8 * (m + 2) * np.finfo(np.float64).eps * max(1.0, measure._arr.sum())
-    ids = np.arange(K)
-
-    def far(rows, cols, adj: list[int] | None = None) -> np.ndarray:
-        """d(i, j) >= separation for i in rows and j in cols, slices or
-        index lists. Given adj, the finished rows before these (cols then
-        all of them), a pair j < i inside the band copies row j's answer."""
-        prod = weighted[rows] @ mat[cols].T
-        gap = mass[rows, None] + mass[cols] - 2 * prod - separation
-        out = gap >= band
-        row_ids, col_ids = ids[rows], ids[cols]
-        for r, c in zip(*np.nonzero(np.abs(gap) < band)):
-            i, j = int(row_ids[r]), int(col_ids[c])
-            if adj is not None and j < i:
-                out[r, c] = adj[j] >> i & 1 if j < len(adj) else out[j - len(adj), i]
-            else:
-                x, y = cls.concepts[i], cls.concepts[j]
-                out[r, c] = symdiff_distance(measure, x, y) >= separation
-        return out
-
     if mode == "greedy":
         chosen: list[int] = []
-        for i in range(K):
-            if far([i], chosen).all():
+        for i, c in enumerate(cls.concepts):
+            if all(
+                symdiff_distance(measure, c, cls.concepts[j]) >= separation
+                for j in chosen
+            ):
                 chosen.append(i)
         return PackingResult(len(chosen), tuple(chosen), False, separation)
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    K = len(cls.concepts)
     if K * K > work_limit:
         raise WorkLimitExceeded(
             f"{K}^2 pairwise distances exceed the work limit {work_limit}",
             work_limit,
         )
+    m, w = measure.m, measure._arr
+    total = float(w.sum())
+    mat = membership_matrix(cls.masks(), m).astype(np.float64)
+    weighted = mat * w
+    mass = mat @ w
+    t = float(min(separation, 2 * total + 1))
+    band = 8 * (m + 2) * np.finfo(np.float64).eps * max(1.0, total)
+    step = max(1, _GEMM_ENTRIES // (m * K))
     adj: list[int] = []  # neighbour bitsets, a block of rows at a time
-    while len(adj) < K:
-        a = len(adj)
-        b = min(K, a + max(1, _GEMM_ENTRIES // (m * K)))
-        adj += pack_rows(far(slice(a, b), slice(0, K), adj))
+    for a in range(0, K, step):
+        rows = slice(a, a + step)
+        gap = mass[rows, None] + mass - 2 * (weighted[rows] @ mat.T) - t
+        edge = gap >= band
+        for r, j in zip(*np.nonzero(np.abs(gap) < band)):
+            x, y = cls.concepts[a + int(r)], cls.concepts[int(j)]
+            edge[r, j] = symdiff_distance(measure, x, y) >= separation
+        adj += pack_rows(edge)
     best: tuple[int, tuple[int, ...]] = (0, ())
     nodes = 0
 

@@ -271,6 +271,21 @@ def test_packing_number_guards():
         packing_number(cls, mu, 0.25, work_limit=10)
 
 
+def test_packing_number_refuses_k_squared_before_building(monkeypatch):
+    # the K^2 refusal and a bad mode come before any matrix is built, and
+    # greedy mode builds none
+    def forbidden(*args):
+        raise AssertionError("membership_matrix called")
+
+    monkeypatch.setattr(empirics, "membership_matrix", forbidden)
+    cls, mu = gen_power_set(8), uniform(8)
+    with pytest.raises(WorkLimitExceeded, match=r"256\^2 pairwise distances"):
+        packing_number(cls, mu, 0.5, work_limit=256 * 256 - 1)
+    with pytest.raises(ValueError, match="mode"):
+        packing_number(cls, mu, 0.5, mode="other")
+    assert packing_number(cls, mu, 0.5, mode="greedy").count > 1
+
+
 @pytest.mark.parametrize(
     "sep",
     [True, np.True_, math.nan, math.inf, -math.inf, -0.5, "0.5", Decimal("0.5")],
@@ -286,14 +301,17 @@ def test_packing_number_refuses_bad_separations(sep):
 
 def test_packing_number_takes_any_real_separation():
     # the float 1/3 falls short of Fraction(1, 3), so distance-1 pairs of
-    # power_set(3) are no edges there: only the per-pair test gets that
+    # power_set(3) are no edges there: only the per-pair test gets that;
+    # a real past every float still leaves one concept alone
     cls, mu = gen_power_set(3), uniform(3)
-    for sep in (Fraction(1, 3), 1 / 3, np.float32(0.5), 1):
+    for sep in (Fraction(1, 3), 1 / 3, np.float32(0.5), 1, 10**400,
+                Fraction(10**400), 2.0**1000):
         for mode in ("exact", "greedy"):
             res = packing_number(cls, mu, sep, mode=mode)
             assert (res.count, res.witness) == _reference_packing(cls, mu, sep, mode)
     assert packing_number(cls, mu, Fraction(1, 3)).count == 4
     assert packing_number(cls, mu, 1 / 3).count == 8
+    assert packing_number(cls, mu, 10**400).witness == (0,)
 
 
 def test_packing_number_checks_the_domain_first():
