@@ -21,7 +21,7 @@ import numpy as np
 from .domain import _GEMM_ENTRIES, ConceptClass, membership_matrix, pack_rows
 from .errors import DomainMismatch, WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
-from .learning import _quantile_points, _sample_blocks
+from .learning import _quantile_points, _require_cell_sizes, _sample_blocks
 from .measures import DiscreteMeasure, _row_counts, symdiff_distance
 from .rng import derive_rng
 from .shattering import DEFAULT_WORK_LIMIT
@@ -55,11 +55,9 @@ def empirical_sup_deviation(
     closed form. A cell draws from one generator,
     derive_rng(seed, "dev", *seed_path): trial tr gets row tr of its
     trials x n uniforms, so no result depends on how the rows are blocked.
+    n and trials must be ints >= 1, not bools (ValueError otherwise).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_cell_sizes(n, trials, 1)
     structured = isinstance(cls, FiniteCofiniteClass)
     m = cls.m if structured else cls.domain.size
     if measure.m != m:

@@ -253,30 +253,17 @@ class FiniteCofiniteClass:
     ) -> Callable[[Iterable[int], Iterable[int]], tuple[FCSet, float]]:
         """max_distance_consistent for one (target, measure), prepared once.
 
-        The two extras pools (positive-s points by weight descending, ties
-        to the smaller index; negative-s points likewise, ties to the larger
-        index) and the descending list of zero-weight padding points depend
-        only on the target and the measure. The returned function answers
-        one (positives, negatives) sample per call and never mutates them.
+        The two extras pools (see _adversary_pools) and the descending list
+        of zero-weight padding points depend only on the target and the
+        measure. The returned function answers one (positives, negatives)
+        sample per call and never mutates them. The sums over P and Z run
+        in ascending point order, as the block kernel's columns do.
         """
-        if target.m != self.m or measure.m != self.m:
-            raise ValueError("target and measure must live on the class domain")
         m, t = self.m, self.t
-        w = measure._arr
-        tmass = fc_measure(measure, target)
-        inside = self.label_points(target, np.arange(m))
+        w, inside, tmass, fin_pool, cof_pool = self._adversary_pools(target, measure)
         s = np.where(inside, -w, w)
-        # positive s lives off the target, negative s on it
-        fin_pool = tuple(
-            int(x)
-            for x in np.lexsort((np.arange(m), -w))
-            if w[x] > 0 and not inside[x]
-        )
-        cof_pool = tuple(
-            int(x)
-            for x in np.lexsort((-np.arange(m), -w))
-            if w[x] > 0 and inside[x]
-        )
+        fin_pool = tuple(fin_pool.tolist())
+        cof_pool = tuple(cof_pool.tolist())
         zeros_desc = tuple(int(x) for x in np.flatnonzero(w == 0)[::-1])
 
         def step(
@@ -295,13 +282,13 @@ class FiniteCofiniteClass:
 
             best_fin: tuple[float, FCSet] | None = None
             if len(P) <= t:
-                base = tmass + sum(s[x] for x in P)
+                base = tmass + sum(s[x] for x in sorted(P))
                 extras = free(fin_pool, t - len(P))
                 d = base + sum(w[x] for x in extras)
                 best_fin = (float(d), FCSet(m, "finite", P | frozenset(extras)))
             best_cof: tuple[float, FCSet] | None = None
             if len(Z) <= t:
-                base = sum(s[x] for x in Z)
+                base = sum(s[x] for x in sorted(Z))
                 extras = free(cof_pool, t - len(Z))
                 core = set(Z)
                 core.update(extras)
@@ -333,6 +320,30 @@ class FiniteCofiniteClass:
             return fc, d
 
         return step
+
+    def _adversary_pools(self, target: FCSet, measure: DiscreteMeasure):
+        """(w, inside, mu(T), fin_pool, cof_pool) of the adversary.
+
+        s_x = w_x is positive off the target and -w_x negative on it. The
+        finite side's pool holds the positive-weight points off the target,
+        by weight descending with ties to the smaller index; the co-small
+        side's pool the positive-weight points on it, ties to the larger
+        index. Both pools are int arrays.
+        """
+        if target.m != self.m or measure.m != self.m:
+            raise ValueError("target and measure must live on the class domain")
+        m = self.m
+        w = measure._arr
+        inside = self.label_points(target, np.arange(m))
+        fin = np.lexsort((np.arange(m), -w))
+        cof = np.lexsort((-np.arange(m), -w))
+        return (
+            w,
+            inside,
+            fc_measure(measure, target),
+            fin[(w[fin] > 0) & ~inside[fin]],
+            cof[(w[cof] > 0) & inside[cof]],
+        )
 
     # deviation query
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import os
 
-from .domain import Concept, ConceptClass, Domain
+import numpy as np
+
+from .domain import Concept, ConceptClass, Domain, membership_matrix
 from .errors import FormatError
 
 CLASS_TAG = "concept-class"
@@ -48,9 +50,10 @@ def dump_class(cls: ConceptClass) -> str:
         header["dedup"] = True
     if cls.domain.labels is not None:
         header["labels"] = list(cls.domain.labels)
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(c.to_string() for c in cls.concepts)
-    return "\n".join(lines) + "\n"
+    # one row of '0'/'1' bytes per concept, each ended by a newline
+    rows = membership_matrix(cls.masks(), cls.domain.size).view(np.uint8) + ord("0")
+    body = np.hstack([rows, np.full((len(rows), 1), ord("\n"), dtype=np.uint8)])
+    return json.dumps(header, sort_keys=True) + "\n" + body.tobytes().decode("ascii")
 
 
 def load_class(text: str) -> ConceptClass:

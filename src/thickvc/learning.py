@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import Concept, ConceptClass, membership_matrix
+from .domain import Concept, ConceptClass, membership_matrix, require_int
 from .errors import DomainMismatch, NoConsistentHypothesis, WorkLimitExceeded
 from .fincofin import FCSet, FiniteCofiniteClass, fc_distance
 from .measures import (
@@ -287,12 +287,22 @@ def _quantile_points(vals: list[float], *, with_min: bool = False) -> dict[str, 
     return out
 
 
+def _require_cell_sizes(n, trials, least_n: int) -> None:
+    """Refuse an n or trials that is not an int (or is a bool), an n below
+    least_n and fewer than one trial, with ValueError."""
+    for value, what, least in ((n, "n", least_n), (trials, "trials", 1)):
+        require_int(value, what)
+        if value < least:
+            raise ValueError(f"{what} must be >= {least}, got {value!r}")
+
+
 # Trial rows are checked in blocks of about this many entries per block's
 # largest operand: its uniforms, or the widest per-row work the caller names
-# (m points, or m x K for the dense consistency product). They are drawn in
-# chunks of about this many uniforms, a whole number of blocks each, so a
-# wide class does not cut the draws into calls of a few dozen points. The
-# rows are consecutive slices of one stream, so no result depends on it.
+# (m points, K concepts x words for the dense bitset test, or (n + 1) x
+# (t + 1) for the structured kernels). They are drawn in chunks of about
+# this many uniforms, a whole number of blocks each, so a wide class does
+# not cut the draws into calls of a few dozen points. The rows are
+# consecutive slices of one stream, so no result depends on it.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -321,17 +331,40 @@ def _presence_blocks(
         yield first, presence
 
 
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Bool rows packed into little-endian uint64 words: column x is bit
+    x % 64 of word x // 64, and the bits past the last column are zero."""
+    count, m = rows.shape
+    out = np.zeros((count, 8 * -(-m // 64)), dtype=np.uint8)
+    out[:, : -(-m // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view(np.dtype("<u8"))
+
+
+def _row_masses(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Measure of each bool row's set, summed as DiscreteMeasure.mass sums
+    the row's ascending index list. Rows of one popcount share one (rows x
+    popcount) gather whose axis-1 sum is numpy's pairwise sum per row, the
+    same as the one-row sum."""
+    counts = rows.sum(axis=1)
+    out = np.empty(len(rows))
+    for c in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == c)
+        out[sel] = w[np.nonzero(rows[sel])[1].reshape(sel.size, c)].sum(axis=1)
+    return out
+
+
 def _dense_trials(cls, learner, target, measure, n, trials, rng):
     """Per-trial errors and found-a-hypothesis flags of both learners over
-    the materialized class, in matrix form.
+    the materialized class, a block of trial rows at a time.
 
     A concept is consistent with a sample when it agrees with the target on
-    every drawn point, i.e. when presence @ (C xor T)^T is zero. The
-    enumeration learner takes the first consistent column in its order, the
-    adversary the first maximum of the distance over consistent columns.
-    Blocks are sized by the product's m x K work per row, which keeps each
-    product below the size at which BLAS hands it to worker threads; on a
-    busy two-core host waking them cost milliseconds per call.
+    every drawn point: with the rows of (C xor T) in the learner's order and
+    each sample's presence row packed into uint64 words, when no word of
+    presence & (C xor T) is nonzero. The test is exact at any width. The
+    enumeration learner takes the first consistent concept in its order,
+    the adversary the first maximum of the distance over consistent ones.
+    Blocks are sized by the K x words test per row. The distances are
+    those symdiff_distance reports (see _row_masses).
     """
     K = len(cls.concepts)
     if K == 0:  # nothing fits any sample
@@ -343,43 +376,34 @@ def _dense_trials(cls, learner, target, measure, n, trials, rng):
         order = np.asarray(learner.order)
     C = membership_matrix(cls.masks(), measure.m)
     T = membership_matrix([target.bits], measure.m)[0]
-    # float32 products count disagreements exactly below 2^24 points
-    X = np.ascontiguousarray((C ^ T)[order].T, dtype=np.float32)
-    D = np.zeros(K)
-
-    def fill(ks):  # the distances the per-sample learners would report
-        for k in ks:
-            D[k] = symdiff_distance(measure, cls.concepts[k], target)
-
-    if adversarial:
-        fill(range(K))
+    differ = C ^ T
+    # the adversary compares every distance, the enumeration learner
+    # reports only those of the concepts it chose
+    D = _row_masses(measure._arr, differ) if adversarial else np.zeros(K)
+    X = np.ascontiguousarray(_words(differ[order]).T)  # words x K
     chosen = np.empty(trials, dtype=np.int64)
     found = np.empty(trials, dtype=bool)
-    for first, presence in _presence_blocks(measure, n, trials, C.size, rng):
-        consistent = presence.astype(np.float32) @ X == 0
+    for first, presence in _presence_blocks(measure, n, trials, X.size, rng):
+        P = _words(presence)
+        hit = P[:, :1] & X[0]
+        for j in range(1, len(X)):
+            hit |= P[:, j : j + 1] & X[j]
+        consistent = hit == 0
         if adversarial:
             col = np.argmax(np.where(consistent, D, -np.inf), axis=1)
         else:
             col = np.argmax(consistent, axis=1)
         ok = consistent[np.arange(col.size), col]
         k = order[col]
-        # independent of the product: the output matches every drawn label
+        # independent of the word test: the output matches every drawn label
         if np.any((C[k] != T) & presence & ok[:, None]):
             raise AssertionError("learner output inconsistent with labels")
         chosen[first : first + k.size] = k
         found[first : first + k.size] = ok
     if not adversarial:
-        fill(np.unique(chosen[found]).tolist())
+        ks = np.unique(chosen[found])
+        D[ks] = _row_masses(measure._arr, differ[ks])
     return D[chosen], found
-
-
-def _row_lists(mask: np.ndarray) -> list[list[int]]:
-    """Column indices of each row's True entries, ascending."""
-    rows, m = mask.shape
-    flat = np.flatnonzero(mask)
-    ends = np.searchsorted(flat, np.arange(1, rows + 1) * m).tolist()
-    cols = (flat % m).tolist()
-    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _fc_agrees(fc: FCSet, pos: list[int], neg: list[int]) -> bool:
@@ -389,32 +413,125 @@ def _fc_agrees(fc: FCSet, pos: list[int], neg: list[int]) -> bool:
     return fc.core.isdisjoint(pos) and fc.core.issuperset(neg)
 
 
+def _labeled(idx: np.ndarray, keep: np.ndarray, m: int):
+    """(points, count) per row of a sample block: the distinct points of the
+    row where keep holds, ascending and padded with m, and how many."""
+    pts = np.sort(np.where(keep, idx, m), axis=1)
+    pts[:, 1:][pts[:, 1:] == pts[:, :-1]] = m
+    pts.sort(axis=1)
+    return pts, (pts < m).sum(axis=1)
+
+
+def _first_columns(mask: np.ndarray, cap: np.ndarray, width: int) -> np.ndarray:
+    """(rows x width) column indices of each row's first cap[r] True
+    entries, ascending, padded with mask.shape[1]."""
+    rank = np.cumsum(mask, axis=1)
+    r, c = np.nonzero(mask & (rank <= cap[:, None]))
+    out = np.full((mask.shape[0], width), mask.shape[1])
+    out[r, rank[r, c] - 1] = c
+    return out
+
+
+def _column_sums(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per row, values[cols[r, 0]] + values[cols[r, 1]] + ..., added one
+    column at a time from 0.0; the pad index len(values) adds an exact 0.0.
+    On rows of nonzero terms this is Python's sum over the row's terms."""
+    padded = np.append(values, 0.0)
+    acc = np.zeros(len(cols))
+    for j in range(cols.shape[1]):
+        acc += padded[cols[:, j]]
+    return acc
+
+
+def _adversary_block(cls, pools, idx, sides):
+    """Errors and found flags of max_distance_consistent for a block of
+    trial rows, both sides at once; sides holds _labeled's (points, count)
+    of the positives P and of the negatives Z.
+
+    Per row, the finite side (|P| <= t) reaches mu(T) + (sum of s over P)
+    + (the weights of its extras); the co-small side (|Z| <= t) reaches
+    1 - mu(T) - (sum of s over Z - the weights of its extras). A side's
+    extras are the first points of its pool that the row did not draw, at
+    most t - |P| (or t - |Z|) of them; a row draws at most n points of a
+    pool, so they lie in its first t + n entries. Every sum adds one
+    column at a time, P and Z in ascending point order and the extras in
+    pool order, as the per-sample step adds its terms, so the distances
+    are bit-identical to it. An exact tie between the sides is one
+    distance whichever member wins, so the rank tie-break has no block
+    form, and zero-weight padding moves no distance.
+    """
+    w, inside, tmass, fin_pool, cof_pool = pools
+    t, m = cls.t, cls.m
+    rows = np.arange(len(idx))[:, None]
+    s = np.where(inside, -w, w)
+    d = []
+    for (pts, count), pool in zip(sides, (fin_pool, cof_pool)):
+        prefix = pool[: t + idx.shape[1]]
+        slot = np.full(m, len(prefix))
+        slot[prefix] = np.arange(len(prefix))
+        free = np.ones((len(idx), len(prefix) + 1), dtype=bool)
+        free[rows, slot[idx]] = False
+        extras = _first_columns(free[:, :-1], t - count, t)
+        # checked on the drawn points, not on free: no extra was drawn
+        picked = np.append(prefix, -1)[extras]
+        if np.any(picked[:, None, :] == idx[:, :, None]):
+            raise AssertionError("learner output inconsistent with labels")
+        d.append((_column_sums(s, pts[:, :t]), _column_sums(w[prefix], extras)))
+    (pos_sum, fin_extra), (neg_sum, cof_extra) = d
+    d_fin = (tmass + pos_sum) + fin_extra
+    d_cof = (1.0 - tmass) - (neg_sum - cof_extra)
+    fin_ok, cof_ok = sides[0][1] <= t, sides[1][1] <= t
+    errors = np.where(
+        fin_ok & cof_ok, np.maximum(d_fin, d_cof), np.where(fin_ok, d_fin, d_cof)
+    )
+    return errors, fin_ok | cof_ok
+
+
 def _structured_trials(cls, learner, target, measure, n, trials, rng):
     """Per-trial errors and found-a-hypothesis flags of the closed-form
-    learners, one sample at a time, labeled through the target's membership
-    vector."""
-    inside = cls.label_points(target, np.arange(cls.m))
-    if learner.kind == "adversarial":
-        learn = cls.max_distance_learner(target, measure)
+    learners over the structured class, a block of trial rows at a time,
+    labeled through the target's membership vector.
+
+    The enumeration learner answers a row with no positive by the empty
+    set and a row with no negative by the full set, one fc_distance each
+    per cell; only rows that hold both labels call least_consistent, and
+    its output is checked against them. The adversary runs both sides of
+    max_distance_consistent over the whole block (see _adversary_block).
+    """
+    m, t = cls.m, cls.t
+    inside = cls.label_points(target, np.arange(m))
+    adversarial = learner.kind == "adversarial"
+    if adversarial:
+        pools = cls._adversary_pools(target, measure)
     else:
-
-        def learn(pos, neg):
-            fc = cls.least_consistent(pos, neg)
-            return fc, fc_distance(measure, fc, target)
-
+        d_empty = fc_distance(measure, FCSet(m, "finite", frozenset()), target)
+        d_full = fc_distance(measure, FCSet(m, "cofinite", frozenset()), target)
     errors = np.empty(trials)
     found = np.ones(trials, dtype=bool)
-    for first, presence in _presence_blocks(measure, n, trials, cls.m, rng):
-        samples = zip(_row_lists(presence & inside), _row_lists(presence & ~inside))
-        for r, (pos, neg) in enumerate(samples, first):
+    for first, idx in _sample_blocks(measure, n, trials, (n + 1) * (t + 1), rng):
+        labels = inside[idx]
+        (pos, npos), (neg, nneg) = _labeled(idx, labels, m), _labeled(idx, ~labels, m)
+        # checked on the labels, not on the counts: a row counted without
+        # positives (negatives) is fit by the empty (full) set
+        if labels[npos == 0].any() or not labels[nneg == 0].all():
+            raise AssertionError("learner output inconsistent with labels")
+        rows = slice(first, first + len(idx))
+        if adversarial:
+            sides = ((pos, npos), (neg, nneg))
+            errors[rows], found[rows] = _adversary_block(cls, pools, idx, sides)
+            continue
+        errors[rows] = np.where(npos > 0, d_full, d_empty)
+        for r in np.flatnonzero((npos > 0) & (nneg > 0)).tolist():
+            P = pos[r, : npos[r]].tolist()
+            Z = neg[r, : nneg[r]].tolist()
             try:
-                fc, err = learn(pos, neg)
+                fc = cls.least_consistent(P, Z)
             except NoConsistentHypothesis:
-                found[r] = False
+                found[first + r] = False
                 continue
-            if not _fc_agrees(fc, pos, neg):
+            if not _fc_agrees(fc, P, Z):
                 raise AssertionError("learner output inconsistent with labels")
-            errors[r] = err
+            errors[first + r] = fc_distance(measure, fc, target)
     return errors, found
 
 
@@ -437,12 +554,12 @@ def pac_error_estimate(
     trial tr gets row tr of its trials x n uniforms, so the cell is
     reproducible and independent of scheduling. The consistency identity
     (learned concept agrees with every label) is asserted on every trial; a
-    violation is a bug, not a statistic.
+    violation is a bug, not a statistic. n (>= 0) and trials (>= 1) must
+    be ints, not bools; anything else raises ValueError before any draw.
     no_hypothesis: "raise" propagates NoConsistentHypothesis, "full-error"
     counts the trial with error 1.0 and moves on.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_cell_sizes(n, trials, 0)
     if no_hypothesis not in ("raise", "full-error"):
         raise ValueError(f"bad no_hypothesis policy {no_hypothesis!r}")
     structured = isinstance(cls, FiniteCofiniteClass)

@@ -46,7 +46,7 @@ class DiscreteMeasure:
                 w = w / s
             else:
                 raise ValueError(f"weights sum to {s!r}, too far from 1")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "_arr", w)
         object.__setattr__(self, "_cum", np.cumsum(w))
         # last positive-weight index: where a draw past a short cumsum lands

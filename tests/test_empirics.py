@@ -86,6 +86,21 @@ def test_sup_deviation_determinism_and_validation():
         empirical_sup_deviation(cls, uniform(4), 5, 20, 7)
 
 
+@pytest.mark.parametrize(
+    "n, trials",
+    [(True, 20), (0, 20), (-1, 20), (5.0, 20), (5, 2.0), (5, True), (5, 0)],
+)
+def test_sup_deviation_refuses_bad_cell_sizes(monkeypatch, n, trials):
+    # refused with ValueError before a stream is derived, on both backends
+    def no_stream(*args):
+        raise AssertionError("derived a stream before checking the sizes")
+
+    monkeypatch.setattr(empirics, "derive_rng", no_stream)
+    for cls in (gen_power_set(3), FiniteCofiniteClass(3, 1)):
+        with pytest.raises(ValueError):
+            empirical_sup_deviation(cls, uniform(3), n, trials, 7)
+
+
 def test_sup_deviation_checks_the_domain_first():
     # both backends refuse before any work, the dense one before its mass product
     for cls in (gen_intervals(5), FiniteCofiniteClass(5, 1)):

@@ -140,3 +140,31 @@ def test_dump_is_deterministic():
     cls = _cls()
     assert dump_class(cls) == dump_class(cls)
     assert dump_point_set(Concept.empty(2)) == dump_point_set(Concept.empty(2))
+
+
+def _per_concept_dump(cls):
+    # the rendering the matrix writer replaced: one to_string line per concept
+    header = json.loads(dump_class(cls).splitlines()[0])
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(c.to_string() for c in cls.concepts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65])
+def test_dump_class_matches_per_concept_rendering(m):
+    import random
+
+    rnd = random.Random(m)
+    masks = [0, (1 << m) - 1] + [rnd.getrandbits(m) for _ in range(40)]
+    concepts = tuple(Concept(m, b) for b in masks)
+    unique = tuple(Concept(m, b) for b in dict.fromkeys(masks))
+    labels = tuple(f"p{i}" for i in range(m))
+    for cls in (
+        ConceptClass(Domain(m), ()),
+        ConceptClass(Domain(m), concepts),
+        ConceptClass(Domain(m, labels=labels), concepts),
+        ConceptClass(Domain(m), unique, dedup=True),
+    ):
+        text = dump_class(cls)
+        assert text == _per_concept_dump(cls), (m, len(cls.concepts))
+        assert load_class(text) == cls

@@ -19,6 +19,7 @@ from thickvc import (
     adversarial_consistent_learner,
     derive_rng,
     enumeration_learner,
+    fc_distance,
     gen_finite_cofinite,
     gen_intervals,
     gen_random,
@@ -399,14 +400,32 @@ def test_pac_estimate_rejects_short_order_before_drawing(monkeypatch):
         )
 
 
+@pytest.mark.parametrize(
+    "n, trials",
+    [(True, 5), (False, 5), (-1, 5), (2.0, 5), (4, 2.0), (4, True), (4, 0)],
+)
+def test_pac_estimate_refuses_bad_cell_sizes(monkeypatch, n, trials):
+    # a bool or non-int n or trials, n < 0 and trials < 1 are refused with
+    # ValueError before a stream is derived, on both backends
+    def no_stream(*args):
+        raise AssertionError("derived a stream before checking the sizes")
+
+    monkeypatch.setattr(learning, "derive_rng", no_stream)
+    for cls in (gen_intervals(5), FiniteCofiniteClass(5, 1)):
+        for kind in ("enumeration", "adversarial"):
+            with pytest.raises(ValueError):
+                pac_error_estimate(cls, LearnerSpec(kind), 0, uniform(5), n, trials, 1)
+
+
 def test_pac_dense_kernel_matches_per_sample_learners():
     # oracle: rebuild every trial's sample from the documented cell stream
     # (row tr of derive_rng(seed, "pac", *seed_path)'s trials x n uniforms)
     # and run the reference learners on it one sample at a time
+    # m <= 10 fills one word; the last 40 cases cross word boundaries
     rng = derive_rng(6767, "oracle")
     trials = 6
-    for case in range(200):
-        m = int(rng.integers(1, 11))
+    for case in range(240):
+        m = int(rng.integers(1, 11)) if case < 200 else (63, 64, 65, 130)[case % 4]
         cls = gen_random(m, int(rng.integers(1, 25)), float(rng.random()), case)
         K = len(cls.concepts)
         w = rng.random(m)
@@ -414,12 +433,18 @@ def test_pac_dense_kernel_matches_per_sample_learners():
         if w.sum() == 0:
             w[-1] = 1.0
         mu = DiscreteMeasure(tuple(w / w.sum()))
-        n = int(rng.integers(0, 2 * m + 1))
+        n = int(rng.integers(0, 2 * m + 1)) if case < 200 else int(rng.integers(0, 6))
         # half the targets come from outside the class: unresolvable samples
         if rng.random() < 0.5:
             target = cls.concepts[int(rng.integers(0, K))]
-        else:
+        elif case < 200:
             target = Concept(m, int(rng.integers(0, 1 << m)))
+        else:
+            # a class member with a few points flipped
+            bits = cls.concepts[int(rng.integers(0, K))].bits
+            for p in rng.integers(0, m, 3).tolist():
+                bits ^= 1 << p
+            target = Concept(m, bits)
         order = tuple(int(x) for x in rng.permutation(K))
         for spec in (
             LearnerSpec("enumeration"),
@@ -450,6 +475,97 @@ def test_pac_dense_kernel_matches_per_sample_learners():
             assert rep.no_hypothesis_count == nohyp, (case, spec)
 
 
+def _dyadic_measure(rng, m):
+    """Weights that are binary fractions summing to exactly 1, a few zero:
+    every sum of them is exact, so exact ties between distances survive."""
+    w = [1.0]
+    while len(w) < m - int(rng.integers(0, 3)):
+        i = int(rng.integers(0, len(w)))
+        w[i] /= 2
+        w.insert(i, w[i])
+    w += [0.0] * (m - len(w))
+    return DiscreteMeasure(tuple(w[i] for i in rng.permutation(m)))
+
+
+def _side_maxima(cls, mu, target, pos, neg):
+    """Exact largest distance to the target over the consistent members of
+    each kind, by enumerating the class (None when a kind has none)."""
+    from fractions import Fraction
+
+    best = {"finite": None, "cofinite": None}
+    for r in range(cls.size):
+        fc = cls.concept_at(r)
+        if not all(fc.contains(p) for p in pos) or any(fc.contains(p) for p in neg):
+            continue
+        d = sum(
+            Fraction(mu.weights[x])
+            for x in range(cls.m)
+            if fc.contains(x) != target.contains(x)
+        )
+        if best[fc.kind] is None or d > best[fc.kind]:
+            best[fc.kind] = d
+    return best["finite"], best["cofinite"]
+
+
+def test_pac_structured_kernel_matches_per_sample_learners():
+    # oracle: rebuild every trial's labels from the documented cell stream
+    # and run the one-sample learners; targets outside the class give rows
+    # with no consistent member, dyadic measures exact ties between sides
+    rng = derive_rng(8989, "oracle")
+    trials = 8
+    ties = nohyp = 0
+    for case in range(120):
+        dyadic = case % 2 == 0
+        m = int(rng.integers(9, 11)) if dyadic else int(rng.integers(9, 90))
+        in_class = case % 4 != 1
+        # an outside target has more than t points and leaves out more than t
+        t = int(rng.integers(1, 5 if in_class else (m - 2) // 2 + 1))
+        cls = FiniteCofiniteClass(m, t)
+        if dyadic:
+            mu = _dyadic_measure(rng, m)
+        else:
+            w = rng.random(m) ** 3
+            w[rng.random(m) < 0.2] = 0.0
+            w[0] += 1e-3
+            mu = DiscreteMeasure(tuple(w / w.sum()))
+        kind = "finite" if rng.random() < 0.5 else "cofinite"
+        size = int(rng.integers(0, t + 1)) if in_class else int(rng.integers(t + 1, m - t))
+        core = frozenset(rng.choice(m, size, replace=False).tolist())
+        target = FCSet(m, kind, core)
+        n = int(rng.integers(0, 3 * t + 3) if in_class else rng.integers(4 * t, 12 * t))
+        idx = _draw_indices(mu, (trials, n), derive_rng(7171, "pac", case))
+        for spec in (LearnerSpec("enumeration"), LearnerSpec("adversarial")):
+            stream = derive_rng(7171, "pac", case)
+            errors, found = learning._structured_trials(
+                cls, spec, target, mu, n, trials, stream
+            )
+            if in_class:
+                rep = pac_error_estimate(
+                    cls, spec, target, mu, n, trials, 7171, seed_path=(case,)
+                )
+                assert rep.errors == tuple(errors.tolist()), (case, spec)
+            for tr in range(trials):
+                drawn = set(idx[tr].tolist())
+                pos = sorted(p for p in drawn if target.contains(p))
+                neg = sorted(drawn.difference(pos))
+                try:
+                    if spec.kind == "enumeration":
+                        fc = cls.least_consistent(pos, neg)
+                        want = fc_distance(mu, fc, target)
+                    else:
+                        fc, want = cls.max_distance_consistent(pos, neg, target, mu)
+                except NoConsistentHypothesis:
+                    assert not found[tr], (case, spec, tr)
+                    nohyp += 1
+                    continue
+                assert found[tr] and errors[tr] == want, (case, spec, tr)
+                if dyadic and spec.kind == "adversarial":
+                    fin, cof = _side_maxima(cls, mu, target, pos, neg)
+                    assert want == float(max(d for d in (fin, cof) if d is not None))
+                    ties += fin == cof
+    assert ties >= 15 and nohyp >= 40, (ties, nohyp)
+
+
 def _block_cells():
     iv = gen_intervals(9)
     K = len(iv.concepts)
@@ -459,7 +575,16 @@ def _block_cells():
     mu40 = uniform(40)
     no_full = ConceptClass(Domain(4), (Concept.empty(4), Concept.from_indices(4, [0])))
     tgt = FCSet(40, "cofinite", frozenset({3, 17}))
+    wide = gen_random(70, 40, 0.5, 3)
+    w70 = [0.0 if x % 9 == 4 else 1.0 + x % 5 for x in range(70)]
+    mu70 = DiscreteMeasure(tuple(x / sum(w70) for x in w70))
+    w40 = [0.0 if x % 7 == 2 else 1.0 / (1 + x) for x in range(40)]
+    skew40 = DiscreteMeasure(tuple(x / sum(w40) for x in w40))
     return [
+        (wide, LearnerSpec("adversarial"), 5, mu70, 4, {}),
+        (wide, LearnerSpec("enumeration"), 11, mu70, 3, {}),
+        (sc, LearnerSpec("adversarial"), FCSet(40, "finite", frozenset({1, 8})),
+         skew40, 5, {}),
         (iv, LearnerSpec("enumeration"), 7, mu, 5, {}),
         (iv, LearnerSpec("enumeration", order), 30, mu, 12, {}),
         (iv, LearnerSpec("adversarial"), 12, mu, 3, {}),
