@@ -35,7 +35,7 @@ from pathlib import Path
 WORKLOADS = ("exact", "pac", "ugc", "cli")
 # the traced run: the workload where the sampler and trial kernels weigh most
 TRACE_WORKLOAD, TRACE_SECONDS = "ugc", 5.0
-LAYER_PREFIXES = ("measures._draw_indices.", "empirics.", "learning.")
+LAYER_PREFIXES = ("measures._draw_indices.", "fincofin.", "empirics.", "learning.")
 MIN_PAIRS = 10
 
 

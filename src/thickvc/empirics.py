@@ -21,7 +21,12 @@ import numpy as np
 from .domain import _GEMM_ENTRIES, ConceptClass, membership_matrix, pack_rows
 from .errors import DomainMismatch, WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
-from .learning import _quantile_points, _require_cell_sizes, _sample_blocks
+from .learning import (
+    _quantile_points,
+    _require_cell_sizes,
+    _require_epsilons,
+    _sample_blocks,
+)
 from .measures import DiscreteMeasure, _row_counts, symdiff_distance
 from .rng import derive_rng
 from .shattering import DEFAULT_WORK_LIMIT
@@ -71,7 +76,9 @@ def empirical_sup_deviation(
 
     sups = np.empty(trials)
     rng = derive_rng(seed, "dev", *seed_path)
-    for first, idx in _sample_blocks(measure, n, trials, m, rng):
+    # a structured row is O(n + t) wide when 2n < m, else m <= 2n wide
+    width = min(m, n + cls.t) if structured else m
+    for first, idx in _sample_blocks(measure, n, trials, width, rng):
         if structured:
             sups[first : first + len(idx)] = cls.sup_deviation(idx, measure)
             continue
@@ -122,7 +129,9 @@ def ugc_cell(
 
     Seeds derive from the grid position, never from evaluation order, so a
     parallel scheduler computing cells in any order gets identical numbers.
+    epsilon must be a finite real, not a bool (ValueError before any draw).
     """
+    _require_epsilons((epsilon,), "epsilon")
     rep = empirical_sup_deviation(
         cls, measure, n, trials, seed, seed_path=("ugc", ni, mi)
     )

@@ -360,22 +360,74 @@ class FiniteCofiniteClass:
         set |sum of delta over its complement core|, so both reduce to the
         best |prefix sum| of the sorted deltas, at most t terms from either
         end. The empty and full sets contribute the floor of zero.
+
+        When 2n < m only O(n + t) deltas per row are formed, and every sup
+        is the same float as the domain-wide scan's:
+
+          * low side: an unsampled point has delta -w_x <= 0. Among the
+            h = t + n heaviest points (h < m) at most n are sampled, so at
+            least t have delta <= -w_h <= delta_y for every point y outside
+            them. The t smallest deltas are thus the same floats over those
+            h points (measure._heavy) as over the domain.
+          * high side: only a positive delta raises a prefix sum, and only
+            a sampled point has one. A row's distinct points, counted from
+            the run lengths of the sorted row, with repeats padded by 0.0,
+            hold all p positive deltas. In both scans the best prefix is the
+            sum of the min(p, t) largest, added in the same order, since no
+            later term raises it.
+
+        Otherwise the deltas of the whole domain are scanned. Points must
+        lie in [0, m) and the measure on the class domain (ValueError).
         """
+        m, t = self.m, self.t
+        if measure.m != m:
+            raise ValueError("measure must live on the class domain")
         pts = np.asarray(points, dtype=np.int64)
         rows = np.atleast_2d(pts)
-        n = rows.shape[1]
-        if n == 0 or self.t == 0:
-            sups = np.zeros(rows.shape[0])
+        nrows, n = rows.shape
+        sample_layout = 0 < n and 2 * n < m
+        if sample_layout:
+            rows = np.sort(rows, axis=1)
+            low, high = rows[:, 0], rows[:, -1]
         else:
-            delta = _row_counts(rows, self.m) / n - measure._arr
+            low, high = rows.min(initial=0), rows.max(initial=0)
+        if np.any(low < 0) or np.any(high >= m):
+            raise ValueError("sample points must live on the class domain")
+        if n == 0 or t == 0:
+            return 0.0 if pts.ndim == 1 else np.zeros(nrows)
+        if sample_layout:
+            w = measure._arr
+            order, rank = measure._heavy
+            # each row's distinct points, counted by their run lengths
+            first = np.ones(rows.shape, dtype=bool)
+            np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
+            starts = np.flatnonzero(first)
+            seen = rows.ravel()[starts]
+            delta = np.diff(starts, append=rows.size) / n - w[seen]
+            # low side: the h heaviest points, an unsampled one at 0.0 - w_x
+            # as count/n - w_x gives it (+0.0, never -0.0, at a zero weight)
+            h = t + n
+            lo = np.tile(0.0 - w[order[:h]], (nrows, 1))
+            col = rank[seen]
+            keep = col < h
+            lo.ravel()[starts[keep] // n * h + col[keep]] = delta[keep]
+            lo.sort(axis=1)
+            lo = lo[:, :t]
+            # high side: repeats padded with 0.0
+            hi = np.zeros(rows.shape)
+            hi.ravel()[starts] = delta
+            hi.sort(axis=1)
+            hi = hi[:, n - min(t, n) :]
+        else:
+            delta = _row_counts(rows, m) / n - measure._arr
             # only the t smallest and t largest deltas can enter a sum
-            t = self.t
-            part = np.partition(delta, (t - 1, self.m - t), axis=1)
+            part = np.partition(delta, (t - 1, m - t), axis=1)
             lo = np.sort(part[:, :t], axis=1)
-            hi = np.sort(part[:, self.m - t :], axis=1)[:, ::-1]
-            best_lo = np.max(-np.cumsum(lo, axis=1), axis=1)
-            best_hi = np.max(np.cumsum(hi, axis=1), axis=1)
-            sups = np.maximum(0.0, np.maximum(best_lo, best_hi))
+            hi = np.sort(part[:, m - t :], axis=1)
+        hi = hi[:, ::-1]
+        best_lo = np.max(-np.cumsum(lo, axis=1), axis=1)
+        best_hi = np.max(np.cumsum(hi, axis=1), axis=1)
+        sups = np.maximum(0.0, np.maximum(best_lo, best_hi))
         return float(sups[0]) if pts.ndim == 1 else sups
 
     # labeling helper shared by the simulators

@@ -15,6 +15,7 @@ canonical order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -296,6 +297,18 @@ def _require_cell_sizes(n, trials, least_n: int) -> None:
             raise ValueError(f"{what} must be >= {least}, got {value!r}")
 
 
+def _require_epsilons(epsilons, what: str) -> None:
+    """Refuse a bool, a non-real, a NaN or an infinity among epsilons, with
+    ValueError: none of them is a threshold a frequency can be held to."""
+    for eps in epsilons:
+        if (
+            isinstance(eps, bool)
+            or not isinstance(eps, numbers.Real)
+            or not math.isfinite(eps)
+        ):
+            raise ValueError(f"{what} must be a finite real, got {eps!r}")
+
+
 # Trial rows are checked in blocks of about this many entries per block's
 # largest operand: its uniforms, or the widest per-row work the caller names
 # (m points, K concepts x words for the dense bitset test, or (n + 1) x
@@ -555,11 +568,13 @@ def pac_error_estimate(
     reproducible and independent of scheduling. The consistency identity
     (learned concept agrees with every label) is asserted on every trial; a
     violation is a bug, not a statistic. n (>= 0) and trials (>= 1) must
-    be ints, not bools; anything else raises ValueError before any draw.
+    be ints, not bools, and each epsilon a finite real, not a bool;
+    anything else raises ValueError before any draw.
     no_hypothesis: "raise" propagates NoConsistentHypothesis, "full-error"
     counts the trial with error 1.0 and moves on.
     """
     _require_cell_sizes(n, trials, 0)
+    _require_epsilons(epsilons, "each epsilon")
     if no_hypothesis not in ("raise", "full-error"):
         raise ValueError(f"bad no_hypothesis policy {no_hypothesis!r}")
     structured = isinstance(cls, FiniteCofiniteClass)

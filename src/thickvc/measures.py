@@ -70,6 +70,16 @@ class DiscreteMeasure:
         start = np.concatenate(([0], edges))
         return G, start, np.append(cum, np.inf)
 
+    @cached_property
+    def _heavy(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, rank): the points by weight descending, ties to the
+        smaller index, and each point's place in that order (int32), built
+        on the first structured sup deviation that needs them."""
+        order = np.argsort(-self._arr, kind="stable")
+        rank = np.empty(self.m, dtype=np.int32)
+        rank[order] = np.arange(self.m, dtype=np.int32)
+        return order, rank
+
     def weight(self, i: int) -> float:
         return self.weights[i]
 

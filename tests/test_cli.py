@@ -511,6 +511,40 @@ def test_ugc_sim_rejects_unknown_keys(tmp_path, capsys):
         assert (code, out) == (2, "") and "input error" in err, (key, value)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_sims_refuse_a_non_finite_epsilon(tmp_path, capsys, bad):
+    # JSON configs may spell NaN and Infinity; they once exited 0 and
+    # printed "epsilon":NaN and "frac_exceeding":{"nan":0.0}
+    cfg = tmp_path / "sim.json"
+    ugc = {
+        "class": {"generator": {"family": "finite-cofinite", "m": 40, "t": 2,
+                                "backend": "structured"}},
+        "measures": [{"type": "uniform"}],
+        "n_grid": [10],
+        "epsilon": bad,
+        "trials": 10,
+    }
+    code, out, err = main_on_config(capsys, cfg, "ugc-sim", ugc)
+    assert (code, out) == (2, "") and "epsilon" in err
+    assert main_on_config(capsys, cfg, "ugc-sim", {**ugc, "epsilon": 0.1})[0] == 0
+    pac = {**PAC_CFG, "epsilons": [0.1, bad]}
+    code, out, err = main_on_config(capsys, cfg, "pac-sim", pac)
+    assert (code, out) == (2, "") and "epsilon" in err
+
+
+def test_ugc_sim_refuses_nan_epsilon_in_a_pool(tmp_path):
+    cfg = tmp_path / "ugc.json"
+    cfg.write_text(json.dumps({
+        "class": {"generator": {"family": "power-set", "r": 3}},
+        "measures": [{"type": "uniform"}],
+        "n_grid": [10, 20],
+        "epsilon": float("nan"),
+        "trials": 10,
+    }))
+    r = run_cli("ugc-sim", "--config", str(cfg), "--seed", "1", "--jobs", "2")
+    assert r.returncode == 2 and r.stdout == "" and "epsilon" in r.stderr
+
+
 def test_ugc_sim_deterministic_across_jobs(tmp_path):
     cfg = tmp_path / "ugc.json"
     cfg.write_text(json.dumps({

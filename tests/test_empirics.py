@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import itertools
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -175,6 +176,7 @@ def test_sup_deviation_independent_of_block_size(monkeypatch):
         (gen_intervals(12), skew, 9),
         (gen_power_set(4), uniform(4), 30),
         (FiniteCofiniteClass(12, 3), skew, 20),
+        (FiniteCofiniteClass(12, 3), skew, 5),  # 2n < m: sample layout
         (FiniteCofiniteClass(12, 0), skew, 6),
     ]
     runs = []
@@ -203,6 +205,33 @@ def test_ugc_cell_derives_one_stream_per_cell(monkeypatch):
             calls.clear()
             ugc_cell(cls, uniform(m), 12, 0.1, trials, 5, 1, 2)
             assert calls == [("dev", "ugc", 1, 2)], (cls, trials)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, True, "0.1"])
+def test_ugc_cell_refuses_a_bad_epsilon(monkeypatch, epsilon):
+    # NaN or an infinity once came back as an exceedance fraction, and the
+    # CLI printed it as "epsilon":NaN, which is no JSON
+    def no_stream(*args):
+        raise AssertionError("derived a stream before checking epsilon")
+
+    monkeypatch.setattr(empirics, "derive_rng", no_stream)
+    for cls, m in ((gen_power_set(3), 3), (FiniteCofiniteClass(9, 2), 9)):
+        with pytest.raises(ValueError, match="epsilon"):
+            ugc_cell(cls, uniform(m), 12, epsilon, 20, 5, 0, 0)
+
+
+def test_structured_sup_deviation_scale_guard():
+    # a million diffuse atoms: each trial reads its 50 points and the 55
+    # heaviest, never the whole domain; the first call builds the tables
+    cls = gen_finite_cofinite(10**6, 5, backend="structured")
+    mu = uniform(10**6)
+    t0 = time.perf_counter()
+    rep = empirical_sup_deviation(cls, mu, 50, 200, 5151)
+    elapsed = time.perf_counter() - t0
+    # the 5 most drawn points hold at least 5/50 of each sample and 5e-6
+    # of the measure
+    assert len(rep.sups) == 200 and 0.0999 < min(rep.sups) <= max(rep.sups) < 1
+    assert elapsed < 0.5, elapsed
 
 
 def test_ugc_curve_shape_and_worst_measure():

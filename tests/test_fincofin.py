@@ -17,6 +17,7 @@ from thickvc import (
     uniform,
 )
 from thickvc.fincofin import comb_rank, comb_unrank, fc_measure
+from thickvc.measures import _draw_indices
 
 
 def dense_sets(m, t):
@@ -154,14 +155,16 @@ def test_max_distance_infeasible_labels():
 
 
 def test_sup_deviation_matches_exhaustive():
-    for m, t in [(6, 1), (6, 2), (7, 3)]:
+    # (12, 3) and (14, 2) reach 2n < m, where only the sampled and the
+    # t + n heaviest points are read
+    for m, t, n_top in [(6, 1, 29), (6, 2, 29), (7, 3, 29), (12, 3, 24), (14, 2, 28)]:
         cls = FiniteCofiniteClass(m, t)
         dense = dense_sets(m, t)
         rng = derive_rng(4444, "sd", m, t)
         for trial in range(100):
             w = rng.random(m)
             mu = DiscreteMeasure(tuple(w / w.sum()))
-            n = int(rng.integers(1, 30))
+            n = int(rng.integers(1, n_top + 1))
             pts = rng.integers(0, m, n)
             got = cls.sup_deviation(pts, mu)
             freq = np.bincount(pts, minlength=m) / n
@@ -176,6 +179,86 @@ def test_sup_deviation_edge_cases():
     cls = FiniteCofiniteClass(9, 2)
     assert cls.sup_deviation(np.empty(0, dtype=np.int64), uniform(9)) == 0.0
     assert FiniteCofiniteClass(9, 0).sup_deviation(np.array([1, 2]), uniform(9)) == 0.0
+
+
+def domain_wide_sups(rows, m, t, w):
+    """The sup deviation scanned over the whole domain: every point's
+    delta = count/n - w, then the best prefix sum of the t smallest and of
+    the t largest, sorted."""
+    n = rows.shape[1]
+    if n == 0 or t == 0:
+        return np.zeros(len(rows))
+    counts = np.stack([np.bincount(row, minlength=m) for row in rows])
+    delta = counts.astype(np.float64) / n - w
+    part = np.partition(delta, (t - 1, m - t), axis=1)
+    lo = np.sort(part[:, :t], axis=1)
+    hi = np.sort(part[:, m - t :], axis=1)[:, ::-1]
+    best_lo = np.max(-np.cumsum(lo, axis=1), axis=1)
+    best_hi = np.max(np.cumsum(hi, axis=1), axis=1)
+    return np.maximum(0.0, np.maximum(best_lo, best_hi))
+
+
+def test_sup_deviation_matches_domain_wide_scan():
+    # float hex against the domain-wide scan, on both layouts (2n < m or
+    # not), t from 0 to just under m/2, n = 1 and n >= m, zero-weight
+    # atoms, tied weights, a few dominant atoms, and samples piled on the
+    # heaviest points
+    rng = derive_rng(4646, "wide")
+    layouts = [0, 0]
+    for case in range(1200):
+        m = int(rng.integers(2, 2001)) if case % 3 else int(rng.integers(2, 30))
+        t = (m - 1) // 2 if case % 5 == 0 else int(rng.integers(0, (m + 1) // 2))
+        shape = int(rng.integers(5))
+        if shape == 0:
+            w = np.ones(m)
+        elif shape == 1:
+            w = rng.random(m)
+            w[rng.random(m) < 0.4] = 0.0
+            w[int(rng.integers(m))] += 0.1
+        elif shape == 2:
+            w = rng.integers(1, 4, m).astype(np.float64)
+        elif shape == 3:
+            w = 1.0 / (1.0 + rng.permutation(m))
+        else:
+            # a few atoms hold most of the mass
+            w = rng.random(m) / m
+            w[rng.choice(m, int(rng.integers(1, max(2, t))))] += 1.0
+        mu = DiscreteMeasure(tuple(w / w.sum()))
+        choices = (1, m, m + int(rng.integers(1, 50)), int(rng.integers(1, m + 1)))
+        n = choices[case // 4 % 4]
+        nrows = int(rng.integers(1, 5))
+        heavy = np.argsort(-mu._arr, kind="stable")
+        if case % 6 == 0:
+            # heavy points, repeats allowed, most of them in the top t + n
+            pts = rng.choice(heavy[: t + n], (nrows, n))
+        elif case % 6 == 1:
+            pts = rng.integers(0, m, (nrows, n))
+        elif case % 6 == 3 and m >= 3:
+            # 2n < m distinct points past the t - 1 heaviest: exactly t of
+            # the t + n heaviest go unsampled, the least the low side needs
+            n = int(rng.integers(1, (m + 1) // 2))
+            skip = max(t - 1, 0)
+            pts = rng.permuted(np.tile(heavy[skip : skip + n], (nrows, 1)), axis=1)
+        else:
+            pts = _draw_indices(mu, (nrows, n), rng)
+        got = FiniteCofiniteClass(m, t).sup_deviation(pts, mu)
+        want = domain_wide_sups(pts, m, t, mu._arr)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (case, m, t, n)
+        layouts[2 * n < m] += 1
+    assert min(layouts) >= 400, layouts
+
+
+def test_sup_deviation_refuses_foreign_points_and_measures():
+    cls = FiniteCofiniteClass(10, 2)
+    # point 10 of row 0 once counted as point 0 of row 1
+    for bad in ([[10, 10, 10], [1, 2, 3]], [[0, 1, 2], [3, -1, 4]], [9, 10],
+                [[10] * 6], [[-1] + [0] * 5]):
+        with pytest.raises(ValueError, match="class domain"):
+            cls.sup_deviation(bad, uniform(10))
+    for other in (uniform(9), uniform(11)):
+        for pts in ([1, 2], [1, 2, 3, 4, 5, 6]):
+            with pytest.raises(ValueError, match="class domain"):
+                cls.sup_deviation(pts, other)
 
 
 def test_label_points():

@@ -417,6 +417,21 @@ def test_pac_estimate_refuses_bad_cell_sizes(monkeypatch, n, trials):
                 pac_error_estimate(cls, LearnerSpec(kind), 0, uniform(5), n, trials, 1)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, True, "0.1"])
+def test_pac_estimate_refuses_a_bad_epsilon(monkeypatch, epsilon):
+    # NaN once came back as a frac_exceeding key, printed as "nan"
+    def no_stream(*args):
+        raise AssertionError("derived a stream before checking the epsilons")
+
+    monkeypatch.setattr(learning, "derive_rng", no_stream)
+    for cls in (gen_intervals(5), FiniteCofiniteClass(5, 1)):
+        with pytest.raises(ValueError, match="epsilon"):
+            pac_error_estimate(
+                cls, LearnerSpec("enumeration"), 0, uniform(5), 4, 5, 1,
+                epsilons=(0.1, epsilon),
+            )
+
+
 def test_pac_dense_kernel_matches_per_sample_learners():
     # oracle: rebuild every trial's sample from the documented cell stream
     # (row tr of derive_rng(seed, "pac", *seed_path)'s trials x n uniforms)
