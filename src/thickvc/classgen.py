@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .domain import Concept, ConceptClass, Domain, pack_rows
+from .domain import Concept, ConceptClass, Domain, pack_rows, require_int
 from .errors import WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
 from .rng import derive_rng
@@ -38,6 +38,7 @@ def gen_finite_cofinite(
     code accepts both.
     """
     params = FiniteCofiniteClass(m, t)  # validates 0 <= t < m/2
+    m, t = params.m, params.t  # Python ints, as Concept takes them
     if backend not in ("auto", "dense", "structured"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "structured":
@@ -69,6 +70,7 @@ def gen_finite_cofinite(
 
 def gen_intervals(m: int) -> ConceptClass:
     """Empty set plus every discrete interval [i..j], ordered by (i, j)."""
+    m = require_int(m, "m")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     dom = Domain(m)
@@ -83,6 +85,7 @@ def gen_intervals(m: int) -> ConceptClass:
 
 def gen_thresholds(m: int) -> ConceptClass:
     """The m+1 prefixes of the domain, ascending by size. A chain, VC 1."""
+    m = require_int(m, "m")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     dom = Domain(m)
@@ -92,6 +95,7 @@ def gen_thresholds(m: int) -> ConceptClass:
 
 def gen_power_set(r: int) -> ConceptClass:
     """Every subset of r points, in ascending bitmask order."""
+    r = require_int(r, "r")
     if not 1 <= r <= 20:
         raise ValueError(f"r must lie in 1..20, got {r}")
     dom = Domain(r)
@@ -132,6 +136,8 @@ def gen_cluster_decorated(
     cluster region. Deterministic given (base, cluster_size, noise, seed).
     """
     base.require_nonempty()
+    cluster_size = require_int(cluster_size, "cluster_size")
+    noise = require_int(noise, "noise")
     if cluster_size < 1:
         raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
     if noise < 0:
@@ -164,6 +170,7 @@ def gen_cluster_decorated(
 def gen_random(m: int, count: int, density: float, seed: int) -> ConceptClass:
     """`count` seeded Bernoulli(density) rows, deduplicated in first-seen
     order. Deterministic per (m, count, density, seed)."""
+    m, count = require_int(m, "m"), require_int(count, "count")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if count < 1:

@@ -31,10 +31,9 @@ class Domain:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        require_int(self.size, "domain size")
+        object.__setattr__(self, "size", require_int(self.size, "domain size"))
         if self.size < 1:
             raise ValueError(f"domain size must be a positive int, got {self.size!r}")
-        object.__setattr__(self, "size", int(self.size))
         if self.labels is not None:
             labels = tuple(self.labels)
             object.__setattr__(self, "labels", labels)
@@ -53,10 +52,12 @@ class Domain:
         return (1 << self.size) - 1
 
 
-def require_int(value, what: str) -> None:
-    """Refuse a bool or a non-int (numpy integers count as ints)."""
+def require_int(value, what: str) -> int:
+    """value as a Python int; a bool or a non-int raises ValueError (numpy
+    integers count as ints)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an int")
+    return int(value)
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -262,10 +263,7 @@ def restrict(cls: ConceptClass, keep: Concept | Iterable[int]) -> ConceptClass:
             raise DomainMismatch("restriction set lives on a different domain")
         kept = list(bits_of(keep.bits))
     else:
-        keep = list(keep)
-        for i in keep:
-            require_int(i, "restriction point")
-        kept = sorted({int(i) for i in keep})
+        kept = sorted({require_int(i, "restriction point") for i in keep})
         if kept and not (0 <= kept[0] and kept[-1] < m):
             raise ValueError("restriction point out of range")
     new_m = len(kept)
@@ -312,10 +310,9 @@ class ClusterFamily:
     def __post_init__(self):
         clusters = tuple(self.clusters)
         object.__setattr__(self, "clusters", clusters)
-        require_int(self.min_size, "min_size")
+        object.__setattr__(self, "min_size", require_int(self.min_size, "min_size"))
         if self.min_size < 1:
             raise ValueError(f"min_size must be a positive int, got {self.min_size!r}")
-        object.__setattr__(self, "min_size", int(self.min_size))
         m = self.domain.size
         union = 0
         for k, a in enumerate(clusters):

@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .domain import Concept
+from .domain import Concept, require_int
 from .errors import NoConsistentHypothesis
 from .measures import DiscreteMeasure, _row_counts
 
@@ -124,9 +124,11 @@ class FiniteCofiniteClass:
     t: int
 
     def __post_init__(self):
-        if type(self.m) is not int or self.m < 1:
+        object.__setattr__(self, "m", require_int(self.m, "m"))
+        object.__setattr__(self, "t", require_int(self.t, "t"))
+        if self.m < 1:
             raise ValueError(f"m must be a positive int, got {self.m!r}")
-        if type(self.t) is not int or not 0 <= self.t < self.m / 2:
+        if not 0 <= self.t < self.m / 2:
             raise ValueError(f"t must satisfy 0 <= t < m/2, got t={self.t!r}")
 
     @property
@@ -245,81 +247,53 @@ class FiniteCofiniteClass:
         side: largest complement, largest indices; an empty co-small core
         stays empty, since the full set enumerates before everything but
         the empty set).
-        """
-        return self.max_distance_learner(target, measure)(positives, negatives)
 
-    def max_distance_learner(
-        self, target: FCSet, measure: DiscreteMeasure
-    ) -> Callable[[Iterable[int], Iterable[int]], tuple[FCSet, float]]:
-        """max_distance_consistent for one (target, measure), prepared once.
-
-        The two extras pools (see _adversary_pools) and the descending list
-        of zero-weight padding points depend only on the target and the
-        measure. The returned function answers one (positives, negatives)
-        sample per call and never mutates them. The sums over P and Z run
-        in ascending point order, as the block kernel's columns do.
+        The extras pools come from _adversary_pools, which the block kernel
+        shares, and the sums over P and Z run in ascending point order, as
+        the block kernel's columns do.
         """
         m, t = self.m, self.t
         w, inside, tmass, fin_pool, cof_pool = self._adversary_pools(target, measure)
+        P = frozenset(positives)
+        Z = frozenset(negatives)
+        if P & Z:
+            raise NoConsistentHypothesis("a point is labeled both 1 and 0")
         s = np.where(inside, -w, w)
-        fin_pool = tuple(fin_pool.tolist())
-        cof_pool = tuple(cof_pool.tolist())
-        zeros_desc = tuple(int(x) for x in np.flatnonzero(w == 0)[::-1])
 
-        def step(
-            positives: Iterable[int], negatives: Iterable[int]
-        ) -> tuple[FCSet, float]:
-            P = frozenset(positives)
-            Z = frozenset(negatives)
-            if P & Z:
-                raise NoConsistentHypothesis("a point is labeled both 1 and 0")
+        def free(pool, cap):
+            # the first cap pool points the sample leaves unlabeled
+            return list(islice((x for x in pool if x not in P and x not in Z), cap))
 
-            def free(pool, cap):
-                # the first cap pool points the sample leaves unlabeled
-                return list(
-                    islice((x for x in pool if x not in P and x not in Z), cap)
-                )
-
-            best_fin: tuple[float, FCSet] | None = None
-            if len(P) <= t:
-                base = tmass + sum(s[x] for x in sorted(P))
-                extras = free(fin_pool, t - len(P))
-                d = base + sum(w[x] for x in extras)
-                best_fin = (float(d), FCSet(m, "finite", P | frozenset(extras)))
-            best_cof: tuple[float, FCSet] | None = None
-            if len(Z) <= t:
-                base = sum(s[x] for x in sorted(Z))
-                extras = free(cof_pool, t - len(Z))
-                core = set(Z)
-                core.update(extras)
-                # zero-weight padding costs no distance and moves the concept
-                # to an earlier (smaller-set) block; an empty core is already
-                # the full set at rank 1 and must stay empty
-                pad = t - len(core) if core else 0
-                for x in zeros_desc:
-                    if pad == 0:
-                        break
-                    if x not in core and x not in P:
-                        core.add(x)
-                        pad -= 1
-                d = 1.0 - tmass - (base - sum(w[x] for x in extras))
-                best_cof = (float(d), FCSet(m, "cofinite", frozenset(core)))
-            if best_fin is None and best_cof is None:
-                raise NoConsistentHypothesis(
-                    f"labels need a set larger than {t} with co-size larger than {t}"
-                )
-            if best_fin is None:
-                return best_cof[1], best_cof[0]
-            if best_cof is None:
-                return best_fin[1], best_fin[0]
-            if best_fin[0] != best_cof[0]:
-                d, fc = max(best_fin, best_cof, key=lambda p: p[0])
-            else:
-                # exact tie between the sides: least enumeration rank wins
-                d, fc = min(best_fin, best_cof, key=lambda p: self.rank(p[1]))
-            return fc, d
-
-        return step
+        sides: list[tuple[float, FCSet]] = []
+        if len(P) <= t:
+            base = tmass + sum(s[x] for x in sorted(P))
+            extras = free(fin_pool.tolist(), t - len(P))
+            d = base + sum(w[x] for x in extras)
+            sides.append((float(d), FCSet(m, "finite", P | frozenset(extras))))
+        if len(Z) <= t:
+            base = sum(s[x] for x in sorted(Z))
+            extras = free(cof_pool.tolist(), t - len(Z))
+            core = set(Z)
+            core.update(extras)
+            # zero-weight padding costs no distance and moves the concept to
+            # an earlier (smaller-set) block; an empty core is already the
+            # full set at rank 1 and must stay empty
+            pad = t - len(core) if core else 0
+            for x in np.flatnonzero(w == 0)[::-1].tolist():
+                if pad == 0:
+                    break
+                if x not in core and x not in P:
+                    core.add(x)
+                    pad -= 1
+            d = 1.0 - tmass - (base - sum(w[x] for x in extras))
+            sides.append((float(d), FCSet(m, "cofinite", frozenset(core))))
+        if not sides:
+            raise NoConsistentHypothesis(
+                f"labels need a set larger than {t} with co-size larger than {t}"
+            )
+        # the farther side wins; an exact tie goes to the least enumeration rank
+        d = max(side[0] for side in sides)
+        return min((fc for e, fc in sides if e == d), key=self.rank), d
 
     def _adversary_pools(self, target: FCSet, measure: DiscreteMeasure):
         """(w, inside, mu(T), fin_pool, cof_pool) of the adversary.
@@ -420,10 +394,10 @@ class FiniteCofiniteClass:
             hi = hi[:, n - min(t, n) :]
         else:
             delta = _row_counts(rows, m) / n - measure._arr
-            # only the t smallest and t largest deltas can enter a sum
-            part = np.partition(delta, (t - 1, m - t), axis=1)
-            lo = np.sort(part[:, :t], axis=1)
-            hi = np.sort(part[:, m - t :], axis=1)
+            # only the t smallest and t largest deltas can enter a sum; one
+            # sort of each row beats selecting them on tie-heavy rows
+            delta.sort(axis=1)
+            lo, hi = delta[:, :t], delta[:, m - t :]
         hi = hi[:, ::-1]
         best_lo = np.max(-np.cumsum(lo, axis=1), axis=1)
         best_hi = np.max(np.cumsum(hi, axis=1), axis=1)

@@ -16,36 +16,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import chain, combinations
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from .domain import Concept, ConceptClass, membership_matrix, require_int
 from .errors import DomainMismatch, NoConsistentHypothesis, WorkLimitExceeded
 from .fincofin import FCSet, FiniteCofiniteClass, fc_distance
-from .measures import (
-    DiscreteMeasure,
-    SampleSeq,
-    _draw_indices,
-    symdiff_distance,
-)
+from .measures import DiscreteMeasure, _draw_indices, symdiff_distance
 from .rng import derive_rng
 from .shattering import DEFAULT_WORK_LIMIT
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """An ordered sample with 0/1 labels, one per drawn point."""
-
-    points: SampleSeq
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != self.points.n:
-            raise ValueError("labels and points have different lengths")
-        if any(l not in (0, 1) for l in self.labels):
-            raise ValueError("labels must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -71,42 +53,53 @@ class LearnerSpec:
                 raise ValueError("order must be a permutation of 0..K-1")
 
 
-def _member(target: Concept | FCSet, p: int) -> bool:
-    if isinstance(target, Concept):
-        return p in target
-    return target.contains(p)
+def label_sample(
+    target: Concept | FCSet, points: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """(positives, negatives): the drawn points inside the target and the
+    rest. A consistent learner sees a labeled sample only as these two
+    sets."""
+    drawn = frozenset(points)
+    inside = target.__contains__ if isinstance(target, Concept) else target.contains
+    positives = frozenset(p for p in drawn if inside(p))
+    return positives, drawn - positives
 
 
-def label_sample(target: Concept | FCSet, points: SampleSeq) -> LabeledSample:
-    """Label a sample by target membership."""
-    return LabeledSample(
-        points, tuple(1 if _member(target, p) else 0 for p in points.points)
-    )
-
-
-def _split_sample(sample: LabeledSample) -> tuple[set[int], set[int]]:
-    pos = {p for p, l in zip(sample.points.points, sample.labels) if l}
-    neg = {p for p, l in zip(sample.points.points, sample.labels) if not l}
-    return pos, neg
+def _label_masks(cls, positives, negatives) -> tuple[int, int]:
+    """Bitsets of the positives and of the negatives. A point that is not
+    an int in [0, m) raises ValueError, a point in both sets
+    NoConsistentHypothesis."""
+    m = cls.m if isinstance(cls, FiniteCofiniteClass) else cls.domain.size
+    masks = []
+    for points in (positives, negatives):
+        mask = 0
+        for p in points:
+            if not 0 <= require_int(p, "sample point") < m:
+                raise ValueError(f"sample point {p!r} is not in [0, {m})")
+            mask |= 1 << int(p)
+        masks.append(mask)
+    if masks[0] & masks[1]:
+        raise NoConsistentHypothesis("a point is labeled both 1 and 0")
+    return masks[0], masks[1]
 
 
 def enumeration_learner(
     cls: ConceptClass | FiniteCofiniteClass,
     order: Sequence[int] | None,
-    sample: LabeledSample,
+    positives: Collection[int],
+    negatives: Collection[int],
 ) -> int:
-    """Index of the order-least concept consistent with the sample.
+    """Index of the order-least concept containing every positive and no
+    negative.
 
-    An empty sample returns the first index. Contradictory or unrealizable
+    Empty labels return the first index. Contradictory or unrealizable
     labels raise NoConsistentHypothesis.
     """
-    pos, neg = _split_sample(sample)
-    if pos & neg:
-        raise NoConsistentHypothesis("a point is labeled both 1 and 0")
+    pmask, zmask = _label_masks(cls, positives, negatives)
     if isinstance(cls, FiniteCofiniteClass):
         if order is not None:
             raise ValueError("structured classes use their canonical order only")
-        return cls.rank(cls.least_consistent(pos, neg))
+        return cls.rank(cls.least_consistent(positives, negatives))
     seq: Iterable[int]
     if order is None:
         seq = range(len(cls.concepts))
@@ -114,12 +107,6 @@ def enumeration_learner(
         if sorted(order) != list(range(len(cls.concepts))):
             raise ValueError("order must be a permutation of the class indices")
         seq = order
-    pmask = 0
-    for p in pos:
-        pmask |= 1 << p
-    zmask = 0
-    for p in neg:
-        zmask |= 1 << p
     for idx in seq:
         b = cls.concepts[idx].bits
         if pmask & ~b == 0 and b & zmask == 0:
@@ -129,24 +116,17 @@ def enumeration_learner(
 
 def adversarial_consistent_learner(
     cls: ConceptClass | FiniteCofiniteClass,
-    sample: LabeledSample,
+    positives: Collection[int],
+    negatives: Collection[int],
     target: Concept | FCSet,
     measure: DiscreteMeasure,
 ) -> int:
     """Index of a consistent concept farthest from the target; ties go to
     the least index."""
-    pos, neg = _split_sample(sample)
-    if pos & neg:
-        raise NoConsistentHypothesis("a point is labeled both 1 and 0")
+    pmask, zmask = _label_masks(cls, positives, negatives)
     if isinstance(cls, FiniteCofiniteClass):
-        fc, _d = cls.max_distance_consistent(pos, neg, target, measure)
+        fc, _d = cls.max_distance_consistent(positives, negatives, target, measure)
         return cls.rank(fc)
-    pmask = 0
-    for p in pos:
-        pmask |= 1 << p
-    zmask = 0
-    for p in neg:
-        zmask |= 1 << p
     best: tuple[float, int] | None = None
     for idx, c in enumerate(cls.concepts):
         if pmask & ~c.bits or c.bits & zmask:
@@ -195,7 +175,9 @@ def learner_image(
     support is realized by a sequence with repetitions). Exhaustive mode
     walks the supports and refuses when their count passes the work limit;
     sampled mode draws uniform sequences instead and is flagged
-    non-exhaustive.
+    non-exhaustive. n (>= 0) and, in sampled mode, trials (>= 1) must be
+    ints, not bools (ValueError). No image is empty, since the target fits
+    its own labels.
     """
     if isinstance(cls, FiniteCofiniteClass):
         raise WorkLimitExceeded(
@@ -205,35 +187,29 @@ def learner_image(
         target = _indexed_target(cls, target)
     m = cls.domain.size
     if mode == "exhaustive":
-        total = sum(math.comb(m, k) for k in range(1, min(n, m) + 1))
+        _require_cell_sizes(n, 1, 0)  # exhaustive mode takes no trials
+        sizes = range(1, min(n, m) + 1) if n else (0,)
+        total = sum(math.comb(m, k) for k in sizes if k)
         if total > work_limit:
             raise WorkLimitExceeded(
                 f"{total} supports exceed the work limit {work_limit}", work_limit
             )
-        out = set()
-        if n == 0:
-            empty = LabeledSample(SampleSeq(()), ())
-            out.add(enumeration_learner(cls, order, empty))
-        else:
-            from itertools import combinations
-
-            for k in range(1, min(n, m) + 1):
-                for tup in combinations(range(m), k):
-                    pts = SampleSeq(tup)
-                    out.add(
-                        enumeration_learner(cls, order, label_sample(target, pts))
-                    )
-        return ImageResult(frozenset(out), True)
-    if mode == "sampled":
+        supports = chain.from_iterable(combinations(range(m), k) for k in sizes)
+    elif mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
-        out = set()
-        for tr in range(trials):
-            rng = derive_rng(seed, "image", tr)
-            pts = SampleSeq(tuple(int(x) for x in rng.integers(0, m, size=n)))
-            out.add(enumeration_learner(cls, order, label_sample(target, pts)))
-        return ImageResult(frozenset(out), False)
-    raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+        _require_cell_sizes(n, trials, 0)
+        supports = (
+            derive_rng(seed, "image", tr).integers(0, m, size=n).tolist()
+            for tr in range(trials)
+        )
+    else:
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    out = frozenset(
+        enumeration_learner(cls, order, *label_sample(target, pts))
+        for pts in supports
+    )
+    return ImageResult(out, mode == "exhaustive")
 
 
 def sample_complexity_bound(epsilon: float, delta: float, d: int) -> int:

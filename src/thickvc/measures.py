@@ -95,20 +95,9 @@ class DiscreteMeasure:
         return self.mass(c.indices())
 
 
-@dataclass(frozen=True)
-class SampleSeq:
-    """An ordered i.i.d. sample of point indices, with its seed when known."""
-
-    points: tuple[int, ...]
-    seed: int | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-
 def uniform(m: int) -> DiscreteMeasure:
     """Uniform measure on the whole domain."""
+    m = require_int(m, "domain size")
     if m < 1:
         raise ValueError("domain size must be positive")
     return DiscreteMeasure((1.0 / m,) * m)
@@ -196,18 +185,16 @@ def _row_counts(idx: np.ndarray, m: int) -> np.ndarray:
 
 def sample_iid(
     measure: DiscreteMeasure, n: int, seed: int | np.random.Generator
-) -> SampleSeq:
+) -> tuple[int, ...]:
     """Draw n i.i.d. points. Same (measure, n, seed) always gives the same
-    sequence; pass a Generator to use an externally derived stream."""
+    sequence, from derive_rng(seed, "sample"); pass a Generator to use an
+    externally derived stream."""
     require_int(n, "sample size")
     if n < 0:
         raise ValueError("sample size must be nonnegative")
-    if isinstance(seed, np.random.Generator):
-        rng, seed_rec = seed, None
-    else:
-        rng, seed_rec = derive_rng(seed, "sample"), seed
-    idx = _draw_indices(measure, n, rng)
-    return SampleSeq(tuple(int(i) for i in idx), seed_rec)
+    if not isinstance(seed, np.random.Generator):
+        seed = derive_rng(seed, "sample")
+    return tuple(_draw_indices(measure, n, seed).tolist())
 
 
 def symdiff_distance(measure: DiscreteMeasure, a: Concept, b: Concept) -> float:

@@ -3,6 +3,7 @@ that the thick-dimension experiments lean on."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from thickvc import (
@@ -200,3 +201,36 @@ def test_decorated_deterministic():
     c = gen_cluster_decorated(base, 2, 5, seed=43)
     assert [x.bits for x in a.concepts] == [x.bits for x in b.concepts]
     assert [x.bits for x in a.concepts] != [x.bits for x in c.concepts]
+
+
+def test_generators_take_strict_sizes():
+    # a bool or a float is no size, and a numpy integer is one
+    base = gen_intervals(3)
+    bad_calls = [
+        lambda v: gen_intervals(v),
+        lambda v: gen_thresholds(v),
+        lambda v: gen_power_set(v),
+        lambda v: gen_finite_cofinite(v, 1),
+        lambda v: gen_finite_cofinite(7, v),
+        lambda v: gen_cluster_decorated(base, v, 0, 1),
+        lambda v: gen_cluster_decorated(base, 2, v, 1),
+        lambda v: gen_random(v, 3, 0.5, 1),
+        lambda v: gen_random(4, v, 0.5, 1),
+    ]
+    for call in bad_calls:
+        for v in (True, 2.0):
+            with pytest.raises(ValueError, match="not an int"):
+                call(v)
+    same = [
+        (gen_intervals(np.int64(4)), gen_intervals(4)),
+        (gen_thresholds(np.int64(4)), gen_thresholds(4)),
+        (gen_power_set(np.int64(3)), gen_power_set(3)),
+        (gen_finite_cofinite(np.int64(7), np.int64(2)), gen_finite_cofinite(7, 2)),
+        (
+            gen_cluster_decorated(base, np.int64(2), np.int64(3), 1),
+            gen_cluster_decorated(base, 2, 3, 1),
+        ),
+        (gen_random(np.int64(6), np.int64(9), 0.5, 1), gen_random(6, 9, 0.5, 1)),
+    ]
+    for got, want in same:
+        assert got == want

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from thickvc import learning
@@ -29,17 +30,30 @@ from thickvc import (
     symdiff_distance,
     uniform,
 )
-from thickvc.learning import LabeledSample, label_sample
-from thickvc.measures import SampleSeq, _draw_indices
+from thickvc.learning import label_sample
+from thickvc.measures import _draw_indices
 
 
 def test_labeled_sample_validation():
-    s = SampleSeq((1, 2, 1))
-    assert LabeledSample(s, (1, 0, 1)).labels == (1, 0, 1)
-    with pytest.raises(ValueError):
-        LabeledSample(s, (1, 0))
-    with pytest.raises(ValueError):
-        LabeledSample(s, (1, 2, 0))
+    # label_sample puts each drawn point on exactly one side
+    cls = gen_intervals(6)
+    rng = derive_rng(6060, "split")
+    for trial in range(100):
+        pts = rng.integers(0, 6, int(rng.integers(0, 8))).tolist()
+        tgt = cls.concepts[int(rng.integers(0, len(cls.concepts)))]
+        pos, neg = label_sample(tgt, pts)
+        assert pos | neg == set(pts) and not pos & neg, trial
+        assert all(p in tgt for p in pos) and not any(p in tgt for p in neg)
+    # both learners refuse a point given in both sets, on both backends
+    sc = FiniteCofiniteClass(8, 2)
+    for c, tgt, mu in (
+        (cls, cls.concepts[3], uniform(6)),
+        (sc, sc.concept_at(3), uniform(8)),
+    ):
+        with pytest.raises(NoConsistentHypothesis, match="both 1 and 0"):
+            enumeration_learner(c, None, {1, 2}, {2})
+        with pytest.raises(NoConsistentHypothesis, match="both 1 and 0"):
+            adversarial_consistent_learner(c, {1, 2}, {2}, tgt, mu)
 
 
 def test_learner_spec_validation():
@@ -54,11 +68,11 @@ def test_learner_spec_validation():
 
 
 def test_label_sample_concept_and_fcset():
-    pts = SampleSeq((0, 3, 5, 3))
+    pts = (0, 3, 5, 3)
     c = Concept.from_indices(6, [3, 4])
-    assert label_sample(c, pts).labels == (0, 1, 0, 1)
+    assert label_sample(c, pts) == ({3}, {0, 5})
     fc = FCSet(6, "cofinite", frozenset({3}))
-    assert label_sample(fc, pts).labels == (1, 0, 1, 0)
+    assert label_sample(fc, pts) == ({0, 5}, {3})
 
 
 def test_enumeration_learner_first_consistent():
@@ -71,27 +85,44 @@ def test_enumeration_learner_first_consistent():
         labels = tuple(int(b) for b in rng.integers(0, 2, nlab))
         pos = {p for p, l in zip(pts, labels) if l}
         neg = {p for p, l in zip(pts, labels) if not l}
-        sample = LabeledSample(SampleSeq(pts), labels)
         want = next(
             (i for i, s in enumerate(sets) if pos <= s and not (neg & s)), None
         )
         if pos & neg or want is None:
             with pytest.raises(NoConsistentHypothesis):
-                enumeration_learner(cls, None, sample)
+                enumeration_learner(cls, None, pos, neg)
             continue
-        assert enumeration_learner(cls, None, sample) == want, trial
+        assert enumeration_learner(cls, None, pos, neg) == want, trial
+
+
+def test_per_sample_learners_refuse_points_off_the_domain():
+    # a label outside [0, m) is an input error on either side, not a label
+    # the learner may ignore or fail to fit
+    sc = FiniteCofiniteClass(8, 2)
+    cls = gen_intervals(6)
+    for c, m, tgt, mu in (
+        (cls, 6, cls.concepts[18], uniform(6)),
+        (sc, 8, sc.concept_at(3), uniform(8)),
+    ):
+        for pos, neg in (((), (m,)), ((m,), ()), ((0,), (-1,)), ((), (1, m + 5))):
+            with pytest.raises(ValueError, match="not in"):
+                enumeration_learner(c, None, pos, neg)
+            with pytest.raises(ValueError, match="not in"):
+                adversarial_consistent_learner(c, pos, neg, tgt, mu)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="not an int"):
+                enumeration_learner(c, None, (bad,), ())
 
 
 def test_enumeration_learner_respects_order():
     cls = gen_intervals(5)
     K = len(cls.concepts)
-    empty = LabeledSample(SampleSeq(()), ())
-    assert enumeration_learner(cls, None, empty) == 0
+    assert enumeration_learner(cls, None, (), ()) == 0
     rev = tuple(range(K - 1, -1, -1))
     # reversed order: first consistent is the order-least, i.e. index K-1
-    assert enumeration_learner(cls, rev, empty) == K - 1
+    assert enumeration_learner(cls, rev, (), ()) == K - 1
     with pytest.raises(ValueError):
-        enumeration_learner(cls, (0, 1), empty)  # not a permutation of 0..K-1
+        enumeration_learner(cls, (0, 1), (), ())  # not a permutation of 0..K-1
 
 
 def test_enumeration_learner_structured_matches_dense():
@@ -103,14 +134,14 @@ def test_enumeration_learner_structured_matches_dense():
         nlab = int(rng.integers(1, 7))
         pts = tuple(sorted({int(x) for x in rng.integers(0, m, nlab)}))
         tfc = sc.concept_at(int(rng.integers(0, sc.size)))
-        sample_d = label_sample(tfc.to_concept(), SampleSeq(pts))
-        sample_s = label_sample(tfc, SampleSeq(pts))
-        assert sample_d.labels == sample_s.labels
-        assert enumeration_learner(sc, None, sample_s) == enumeration_learner(
-            dense, None, sample_d
+        sample_d = label_sample(tfc.to_concept(), pts)
+        sample_s = label_sample(tfc, pts)
+        assert sample_d == sample_s
+        assert enumeration_learner(sc, None, *sample_s) == enumeration_learner(
+            dense, None, *sample_d
         ), trial
     with pytest.raises(ValueError):
-        enumeration_learner(sc, (0, 1), label_sample(tfc, SampleSeq((0,))))
+        enumeration_learner(sc, (0, 1), *label_sample(tfc, (0,)))
 
 
 def test_adversarial_learner_matches_brute_max():
@@ -121,9 +152,7 @@ def test_adversarial_learner_matches_brute_max():
         tgt = cls.concepts[int(rng.integers(0, len(cls.concepts)))]
         nlab = int(rng.integers(1, 5))
         pts = tuple(int(x) for x in rng.integers(0, 6, nlab))
-        sample = label_sample(tgt, SampleSeq(pts))
-        pos = {p for p, l in zip(pts, sample.labels) if l}
-        neg = {p for p, l in zip(pts, sample.labels) if not l}
+        pos, neg = label_sample(tgt, pts)
         best = None
         for i, c in enumerate(cls.concepts):
             s = set(c.indices())
@@ -132,7 +161,7 @@ def test_adversarial_learner_matches_brute_max():
             d = symdiff_distance(mu, c, tgt)
             if best is None or d > best[0]:
                 best = (d, i)
-        got = adversarial_consistent_learner(cls, sample, tgt, mu)
+        got = adversarial_consistent_learner(cls, pos, neg, tgt, mu)
         assert got == best[1], trial
 
 
@@ -148,11 +177,9 @@ def test_adversarial_structured_matches_dense():
         tconc = tfc.to_concept()
         nlab = int(rng.integers(1, 6))
         pts = tuple(sorted({int(x) for x in rng.integers(0, m, nlab)}))
-        sample = label_sample(tconc, SampleSeq(pts))
-        pos = {p for p, l in zip(pts, sample.labels) if l}
-        neg = {p for p, l in zip(pts, sample.labels) if not l}
+        pos, neg = label_sample(tconc, pts)
         try:
-            want = adversarial_consistent_learner(dense, sample, tconc, mu)
+            want = adversarial_consistent_learner(dense, pos, neg, tconc, mu)
         except NoConsistentHypothesis:
             with pytest.raises(NoConsistentHypothesis):
                 sc.max_distance_consistent(pos, neg, tfc, mu)
@@ -166,8 +193,7 @@ def brute_image(cls, order, target, n):
     m = cls.domain.size
     out = set()
     for seq in itertools.product(range(m), repeat=n):
-        sample = label_sample(target, SampleSeq(seq))
-        out.add(enumeration_learner(cls, order, sample))
+        out.add(enumeration_learner(cls, order, *label_sample(target, seq)))
     return frozenset(out)
 
 
@@ -216,6 +242,23 @@ def test_learner_image_int_target_sampled_and_limits():
         learner_image(cls, None, 3, 2, mode="sampled")
     with pytest.raises(WorkLimitExceeded):
         learner_image(FiniteCofiniteClass(30, 2), None, 0, 2)
+
+
+def test_learner_image_takes_strict_sizes():
+    cls = gen_intervals(5)
+    for n in (-1, True, False, 2.0):
+        with pytest.raises(ValueError):
+            learner_image(cls, None, 3, n)
+        with pytest.raises(ValueError):
+            learner_image(cls, None, 3, n, mode="sampled", trials=5, seed=1)
+    for trials in (0, -2, True, 3.0):
+        with pytest.raises(ValueError):
+            learner_image(cls, None, 3, 2, mode="sampled", trials=trials, seed=1)
+    # the target fits its own labels, so no image is empty
+    assert learner_image(cls, None, 3, 0).indices == {0}
+    sampled = learner_image(cls, None, 3, 2, mode="sampled", trials=1, seed=1)
+    assert len(sampled.indices) == 1
+    assert learner_image(cls, None, 3, np.int64(2)) == learner_image(cls, None, 3, 2)
 
 
 def test_sample_complexity_bound_goldens():
@@ -475,12 +518,12 @@ def test_pac_dense_kernel_matches_per_sample_learners():
             )
             nohyp = 0
             for tr in range(trials):
-                sample = label_sample(target, SampleSeq(tuple(idx[tr].tolist())))
+                pos, neg = label_sample(target, idx[tr].tolist())
                 try:
                     if spec.kind == "enumeration":
-                        k = enumeration_learner(cls, spec.order, sample)
+                        k = enumeration_learner(cls, spec.order, pos, neg)
                     else:
-                        k = adversarial_consistent_learner(cls, sample, target, mu)
+                        k = adversarial_consistent_learner(cls, pos, neg, target, mu)
                 except NoConsistentHypothesis:
                     nohyp += 1
                     assert rep.errors[tr] == 1.0, (case, spec, tr)

@@ -79,26 +79,25 @@ def test_sampling_is_deterministic():
     a = sample_iid(mu, 50, 1234)
     b = sample_iid(mu, 50, 1234)
     c = sample_iid(mu, 50, 1235)
-    assert a.points == b.points
-    assert a.points != c.points
-    assert a.seed == 1234 and a.n == 50
+    assert a == b
+    assert a != c
+    assert len(a) == 50 and all(type(p) is int for p in a)
     # generator form reproduces the seed form
-    d = sample_iid(mu, 50, derive_rng(1234, "sample"))
-    assert d.points == a.points and d.seed is None
+    assert sample_iid(mu, 50, derive_rng(1234, "sample")) == a
 
 
 def test_sampling_respects_support():
     mu = uniform_on(Concept.from_indices(8, [2, 5]))
     s = sample_iid(mu, 400, 7)
-    assert set(s.points) <= {2, 5}
+    assert set(s) <= {2, 5}
     # both atoms appear: probability of missing one is 2^-399
-    assert set(s.points) == {2, 5}
+    assert set(s) == {2, 5}
 
 
 def test_sampling_frequencies_converge():
     mu = DiscreteMeasure((0.7, 0.2, 0.1))
     s = sample_iid(mu, 20_000, 99)
-    freq = collections.Counter(s.points)
+    freq = collections.Counter(s)
     for i in range(3):
         assert freq[i] / 20_000 == pytest.approx(mu.weight(i), abs=0.02)
 
@@ -239,7 +238,7 @@ def test_draw_indices_match_searchsorted_property(w, extra):
 
 def test_sample_size_zero_and_negative():
     mu = uniform(3)
-    assert sample_iid(mu, 0, 5).points == ()
+    assert sample_iid(mu, 0, 5) == ()
     with pytest.raises(ValueError):
         sample_iid(mu, -1, 5)
 
@@ -252,8 +251,12 @@ def test_point_mass_and_sample_iid_take_strict_ints():
     for n in (True, False, 2.0):
         with pytest.raises(ValueError, match="not an int"):
             sample_iid(uniform(3), n, 1)
+    for m in (True, False, 3.0):
+        with pytest.raises(ValueError, match="not an int"):
+            uniform(m)
     # numpy integers still count
     assert point_mass(np.int64(3), np.int32(1)).weights == (0.0, 1.0, 0.0)
+    assert uniform(np.int64(3)) == uniform(3)
     assert sample_iid(uniform(3), np.int64(4), 1) == sample_iid(uniform(3), 4, 1)
 
 
