@@ -1,6 +1,7 @@
 """End-to-end command-line checks, through real subprocesses and, where
 one test tries many configs or generators, in process through cli.main."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -202,6 +203,67 @@ def test_vc_mod_and_stone_check(tmp_path):
     assert r2.returncode == 0
     (rec2,) = records(r2.stdout)
     assert rec2["ok"] and rec2["vc_mod"] == rec2["vc_stone"] == 2
+
+
+QUERY_CLASSES = {
+    "intervals-6": lambda: gen_intervals(6),
+    "power-set-4": lambda: gen_power_set(4),
+    "random-9": lambda: gen_random(9, 30, 0.5, 3),
+    "decorated-intervals-3": lambda: gen_cluster_decorated(gen_intervals(3), 2, 1, 0),
+}
+
+# sha256 of the stdout of every QUERY_RUNS run on a class, in order
+QUERY_GOLDENS = {
+    "intervals-6": "5b08d8f8d3e3cb37bc162f3da2e0e8e10d0a7513d2fedf118f2e05e2c7c6e825",
+    "power-set-4": "d0132152c6255d260f389e5965859be775ce355aeff154df09c983e2e3e1409a",
+    "random-9": "305644c8019a4db04f03eeffe162c2f0b54085b7a02f7b64bdeb776effeff490",
+    "decorated-intervals-3": "1b065e6f405ee03de8ea1b49e8873b7c9667bfb0b04c28ed6fc576e6396d49e5",
+}
+
+QUERY_RUNS = [
+    ["vc"],
+    ["vc", "--certificate"],
+    ["vc-thick", "--min-size", "1"],
+    ["vc-thick", "--min-size", "1", "--certificate"],
+    ["vc-thick", "--min-size", "2"],
+    ["vc-thick", "--min-size", "2", "--certificate"],
+    ["vc-mod", "--negligible", "{neg}"],
+    ["vc-mod", "--negligible", "{neg}", "--certificate"],
+    ["vc-removal", "--budget", "1"],
+    ["vc-removal", "--budget", "2", "--mode", "greedy"],
+    ["stone-check", "--negligible", "{neg}"],
+    ["packing", "--separation", "0.25"],
+    ["packing", "--separation", "0.25", "--mode", "greedy", "--witness"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_CLASSES))
+def test_query_stdout_is_pinned(name, tmp_path, capsys):
+    # the records of every query subcommand, byte for byte; stderr is not
+    # pinned (a --min-size above m warns with a source line number)
+    cls = QUERY_CLASSES[name]()
+    cfile, nfile = tmp_path / "q.class", tmp_path / "neg.points"
+    save_class(cls, str(cfile))
+    save_point_set(Concept.from_indices(cls.domain.size, [0, 1]), str(nfile))
+    digest = hashlib.sha256()
+    for run in QUERY_RUNS:
+        argv = [a.format(neg=nfile) for a in run] + ["--class", str(cfile)]
+        assert cli.main(argv) == 0, argv
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == QUERY_GOLDENS[name]
+
+
+def test_query_failures_leave_stdout_empty(tmp_path, capsys):
+    big = tmp_path / "big.class"
+    save_class(gen_intervals(30), str(big))
+    assert cli.main(["vc", "--class", str(big), "--work-limit", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("work limit exceeded")
+    # the class file is read before the point-set file
+    missing = [str(tmp_path / "nope.class"), str(tmp_path / "nope.points")]
+    code = cli.main(["vc-mod", "--class", missing[0], "--negligible", missing[1]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and missing[0] in err and missing[1] not in err
 
 
 def test_bound_golden():
