@@ -211,7 +211,7 @@ def _target_from_spec(spec, cls):
     if index is not None:
         return index
     structured = isinstance(cls, FiniteCofiniteClass)
-    m = cls.m if structured else cls.domain.size
+    m = cls.m
     if kind is not None:
         fc = FCSet(m, kind, frozenset(core))
         return fc if structured else fc.to_concept()
@@ -227,16 +227,24 @@ def _target_from_spec(spec, cls):
     )
 
 
-def _add_certificate(rec: dict, cert, wanted: bool) -> None:
-    """With --certificate: the witness (points, or clusters) and each
-    pattern's carver index."""
-    if not wanted or cert is None:
-        return
-    if cert.kind == "points":
-        rec["witness"] = sorted(cert.witness.indices())
-    else:
-        rec["clusters"] = [sorted(c.indices()) for c in cert.witness.clusters]
-    rec["carvers"] = {str(k): v for k, v in sorted(cert.carvers.items())}
+def _query(args, record, say, cert=None, cls=None, code=0, **fields) -> int:
+    """Emit a query record, say its summary and return the exit code.
+
+    Every record carries the work limit; with `cls`, the class's m and
+    concept count; with --certificate, the witness (points, or clusters)
+    and each pattern's carver index."""
+    rec = _base(record, work_limit=args.work_limit, **fields)
+    if cls is not None:
+        rec.update(m=cls.m, concepts=len(cls.concepts))
+    if cert is not None and args.certificate:
+        if cert.kind == "points":
+            rec["witness"] = sorted(cert.witness.indices())
+        else:
+            rec["clusters"] = [sorted(c.indices()) for c in cert.witness.clusters]
+        rec["carvers"] = {str(k): v for k, v in sorted(cert.carvers.items())}
+    _emit(rec)
+    _say(say)
+    return code
 
 
 # plain computations
@@ -244,82 +252,41 @@ def _add_certificate(rec: dict, cert, wanted: bool) -> None:
 
 def cmd_vc(args) -> int:
     cls = read_class(args.class_file)
-    vc, cert = vc_dimension(
-        cls, want_certificate=True, work_limit=args.work_limit
-    )
-    rec = _base(
-        "vc",
-        vc=vc,
-        m=cls.domain.size,
-        concepts=len(cls.concepts),
-        work_limit=args.work_limit,
-    )
-    _add_certificate(rec, cert, args.certificate)
-    _emit(rec)
-    _say(f"vc = {vc} on {cls.domain.size} points, {len(cls.concepts)} concepts")
-    return 0
+    vc, cert = vc_dimension(cls, want_certificate=True, work_limit=args.work_limit)
+    say = f"vc = {vc} on {cls.m} points, {len(cls.concepts)} concepts"
+    return _query(args, "vc", say, cert, cls, vc=vc)
 
 
 def cmd_vc_thick(args) -> int:
     cls = read_class(args.class_file)
     vc, cert = vc_thick(
-        cls,
-        args.min_size,
-        want_certificate=True,
-        work_limit=args.work_limit,
+        cls, args.min_size, want_certificate=True, work_limit=args.work_limit
     )
-    rec = _base(
-        "vc-thick",
-        vc_thick=vc,
-        min_size=args.min_size,
-        m=cls.domain.size,
-        concepts=len(cls.concepts),
-        work_limit=args.work_limit,
-    )
-    _add_certificate(rec, cert, args.certificate)
-    _emit(rec)
-    _say(f"vc_thick(min_size={args.min_size}) = {vc}")
-    return 0
+    say = f"vc_thick(min_size={args.min_size}) = {vc}"
+    return _query(args, "vc-thick", say, cert, cls, vc_thick=vc, min_size=args.min_size)
 
 
 def cmd_vc_mod(args) -> int:
     cls = read_class(args.class_file)
     neg = read_point_set(args.negligible)
-    ideal = PrincipalIdeal(neg)
     vc, cert = vc_mod_ideal(
-        cls, ideal, want_certificate=True, work_limit=args.work_limit
+        cls, PrincipalIdeal(neg), want_certificate=True, work_limit=args.work_limit
     )
-    rec = _base(
-        "vc-mod",
-        vc_mod=vc,
-        m=cls.domain.size,
-        concepts=len(cls.concepts),
-        negligible_size=neg.size,
-        work_limit=args.work_limit,
-    )
-    _add_certificate(rec, cert, args.certificate)
-    _emit(rec)
-    _say(f"vc_mod = {vc} (negligible set of {neg.size} points)")
-    return 0
+    say = f"vc_mod = {vc} (negligible set of {neg.size} points)"
+    return _query(args, "vc-mod", say, cert, cls, vc_mod=vc, negligible_size=neg.size)
 
 
 def cmd_vc_removal(args) -> int:
-    cls = read_class(args.class_file)
     res = vc_after_removal(
-        cls, args.budget, mode=args.mode, work_limit=args.work_limit
-    )
-    rec = _base(
-        "vc-removal",
-        vc=res.vc,
-        removed=sorted(res.removed.indices()),
-        budget=args.budget,
-        mode=res.mode,
-        heuristic=res.heuristic,
+        read_class(args.class_file), args.budget, mode=args.mode,
         work_limit=args.work_limit,
     )
-    _emit(rec)
-    _say(f"vc after removing {args.budget} points ({res.mode}) = {res.vc}")
-    return 0
+    return _query(
+        args, "vc-removal",
+        f"vc after removing {args.budget} points ({res.mode}) = {res.vc}",
+        vc=res.vc, removed=sorted(res.removed.indices()), budget=args.budget,
+        mode=res.mode, heuristic=res.heuristic,
+    )
 
 
 def cmd_stone_check(args) -> int:
@@ -327,21 +294,13 @@ def cmd_stone_check(args) -> int:
     neg = read_point_set(args.negligible)
     chk = stone_check(cls, PrincipalIdeal(neg), work_limit=args.work_limit)
     ok = chk.equal and chk.lift_valid
-    rec = _base(
-        "stone-check",
-        vc_mod=chk.vc_mod,
-        vc_stone=chk.vc_stone,
-        equal=chk.equal,
-        lift_valid=chk.lift_valid,
-        ok=ok,
-        work_limit=args.work_limit,
-    )
-    _emit(rec)
-    _say(
+    return _query(
+        args, "stone-check",
         f"vc_mod = {chk.vc_mod}, vc_stone = {chk.vc_stone}: "
-        + ("agree" if ok else "MISMATCH")
+        + ("agree" if ok else "MISMATCH"),
+        code=0 if ok else 1, vc_mod=chk.vc_mod, vc_stone=chk.vc_stone,
+        equal=chk.equal, lift_valid=chk.lift_valid, ok=ok,
     )
-    return 0 if ok else 1
 
 
 def cmd_bound(args) -> int:
@@ -388,32 +347,19 @@ def cmd_packing(args) -> int:
     if args.class_file is None or args.separation is None:
         raise FormatError("class mode needs both --class and --separation")
     cls = read_class(args.class_file)
-    m = cls.domain.size
-    if args.measure is not None:
-        mu = _measure_from_spec(_load_json(args.measure), m)
+    if args.measure is None:
+        mu = uniform(cls.m)
     else:
-        mu = uniform(m)
+        mu = _measure_from_spec(_load_json(args.measure), cls.m)
     res = packing_number(
-        cls,
-        mu,
-        args.separation,
-        mode=args.mode,
-        work_limit=args.work_limit,
+        cls, mu, args.separation, mode=args.mode, work_limit=args.work_limit
     )
-    rec = _base(
-        "packing",
-        mode=args.mode,
-        count=res.count,
-        exact=res.exact,
-        separation=res.separation,
-        concepts=len(cls.concepts),
-        work_limit=args.work_limit,
+    witness = {"witness": list(res.witness)} if args.witness else {}
+    return _query(
+        args, "packing", f"packing at separation {args.separation} = {res.count}",
+        mode=args.mode, count=res.count, exact=res.exact,
+        separation=res.separation, concepts=len(cls.concepts), **witness,
     )
-    if args.witness:
-        rec["witness"] = list(res.witness)
-    _emit(rec)
-    _say(f"packing at separation {args.separation} = {res.count}")
-    return 0
 
 
 # simulation subcommands: grid cells are computed by module-level workers so
@@ -421,32 +367,27 @@ def cmd_packing(args) -> int:
 # main process regardless of scheduling.
 
 
-def _pac_cell(task):
-    cls, learner, target, mu, n, trials, seed, eps, nohyp, ti, ni = task
+def _pac_cell(cls, learner, target, mu, n, trials, seed, eps, nohyp, ti, ni):
     return pac_error_estimate(
-        cls,
-        learner,
-        target,
-        mu,
-        n,
-        trials,
-        seed,
-        epsilons=eps,
-        no_hypothesis=nohyp,
-        seed_path=(ti, ni),
+        cls, learner, target, mu, n, trials, seed,
+        epsilons=eps, no_hypothesis=nohyp, seed_path=(ti, ni),
     )
-
-
-def _ugc_cell(task):
-    cls, mu, n, epsilon, trials, seed, ni, mi = task
-    return ugc_cell(cls, mu, n, epsilon, trials, seed, ni, mi)
 
 
 def _run_cells(worker, tasks, jobs):
     if jobs <= 1:
-        return [worker(t) for t in tasks]
+        return [worker(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, tasks))
+        return list(ex.map(worker, *zip(*tasks)))
+
+
+def _sim_config(args, what: str, fields: dict) -> list:
+    """A sim config read strictly: the class built from its "class" spec
+    (a path in it is relative to the config), then the values of `fields`
+    in order."""
+    cspec, *values = _fields(_load_json(args.config), what, {"class": dict, **fields})
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    return [_class_from_spec(cspec, base_dir), *values]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -457,9 +398,9 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_pac_sim(args) -> int:
-    cspec, lspec, mspec, tspecs, n_grid, trials, epsilons, nohyp = _fields(
-        _load_json(args.config), "pac-sim config", {
-            "class": dict, "learner": (dict, {}), "measure": dict,
+    cls, lspec, mspec, tspecs, n_grid, trials, epsilons, nohyp = _sim_config(
+        args, "pac-sim config", {
+            "learner": (dict, {}), "measure": dict,
             "targets": [dict], "n_grid": [int], "trials": int,
             "epsilons": ([float], []), "no_hypothesis": (str, "raise"),
         },
@@ -468,11 +409,7 @@ def cmd_pac_sim(args) -> int:
         lspec, "learner", {"kind": (str, "enumeration"), "order": ([int], None)}
     )
     learner = LearnerSpec(kind, None if order is None else tuple(order))
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    cls = _class_from_spec(cspec, base_dir)
-    structured = isinstance(cls, FiniteCofiniteClass)
-    m = cls.m if structured else cls.domain.size
-    mu = _measure_from_spec(mspec, m)
+    mu = _measure_from_spec(mspec, cls.m)
     targets = [_target_from_spec(s, cls) for s in tspecs]
     tasks = [
         (cls, learner, target, mu, n, trials, args.seed, tuple(epsilons),
@@ -522,24 +459,19 @@ def cmd_pac_sim(args) -> int:
 
 
 def cmd_ugc_sim(args) -> int:
-    cspec, mspecs, n_grid, epsilon, trials = _fields(
-        _load_json(args.config), "ugc-sim config", {
-            "class": dict, "measures": [dict], "n_grid": [int],
-            "epsilon": float, "trials": int,
+    cls, mspecs, n_grid, epsilon, trials = _sim_config(
+        args, "ugc-sim config", {
+            "measures": [dict], "n_grid": [int], "epsilon": float, "trials": int,
         },
     )
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    cls = _class_from_spec(cspec, base_dir)
-    structured = isinstance(cls, FiniteCofiniteClass)
-    m = cls.m if structured else cls.domain.size
-    mus = [_measure_from_spec(s, m) for s in mspecs]
+    mus = [_measure_from_spec(s, cls.m) for s in mspecs]
     bound = max(mu.atom_bound for mu in mus)
     tasks = [
         (cls, mu, n, epsilon, trials, args.seed, ni, mi)
         for ni, n in enumerate(n_grid)
         for mi, mu in enumerate(mus)
     ]
-    fracs = _run_cells(_ugc_cell, tasks, args.jobs)
+    fracs = _run_cells(ugc_cell, tasks, args.jobs)
     rows = []
     k = len(mus)
     for ni, n in enumerate(n_grid):
@@ -588,14 +520,14 @@ def cmd_gen(args) -> int:
     rec = _base(
         "gen",
         family=fam,
-        m=cls.domain.size,
+        m=cls.m,
         concepts=len(cls.concepts),
         out=args.out,
     )
     if getattr(args, "seed", None) is not None:
         rec["seed"] = args.seed
     _emit(rec)
-    _say(f"wrote {len(cls.concepts)} concepts on {cls.domain.size} points")
+    _say(f"wrote {len(cls.concepts)} concepts on {cls.m} points")
     return 0
 
 
@@ -621,41 +553,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("vc", help="classical VC dimension of a class file")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--certificate", action="store_true")
-    _add_work_limit(p)
-    p.set_defaults(func=cmd_vc)
+    def query(name, func, about, *flags):
+        """A query subparser: --class, then `flags` ((flag, kwargs) pairs),
+        then --work-limit."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--class", dest="class_file", required=True)
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        _add_work_limit(p)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("vc-thick", help="thick-cluster VC dimension")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--min-size", type=int, required=True)
-    p.add_argument("--certificate", action="store_true")
-    _add_work_limit(p)
-    p.set_defaults(func=cmd_vc_thick)
-
-    p = sub.add_parser("vc-mod", help="VC dimension modulo a negligible set")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--negligible", required=True, help="point-set file")
-    p.add_argument("--certificate", action="store_true")
-    _add_work_limit(p)
-    p.set_defaults(func=cmd_vc_mod)
-
-    p = sub.add_parser("vc-removal", help="smallest VC after removing points")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    _add_work_limit(p)
-    p.set_defaults(func=cmd_vc_removal)
-
-    p = sub.add_parser(
-        "stone-check",
-        help="cross-validate the quotient route against the direct one",
+    cert = ("--certificate", {"action": "store_true"})
+    neg = ("--negligible", {"required": True, "help": "point-set file"})
+    query("vc", cmd_vc, "classical VC dimension of a class file", cert)
+    query(
+        "vc-thick", cmd_vc_thick, "thick-cluster VC dimension",
+        ("--min-size", {"type": int, "required": True}), cert,
     )
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--negligible", required=True)
-    _add_work_limit(p)
-    p.set_defaults(func=cmd_stone_check)
+    query("vc-mod", cmd_vc_mod, "VC dimension modulo a negligible set", neg, cert)
+    query(
+        "vc-removal", cmd_vc_removal, "smallest VC after removing points",
+        ("--budget", {"type": int, "required": True}),
+        ("--mode", {"choices": ("exact", "greedy"), "default": "exact"}),
+    )
+    query(
+        "stone-check", cmd_stone_check,
+        "cross-validate the quotient route against the direct one", neg,
+    )
 
     p = sub.add_parser("pac-sim", help="PAC error Monte Carlo from a config")
     p.add_argument("--config", required=True)

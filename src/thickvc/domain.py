@@ -233,6 +233,11 @@ class ConceptClass:
             concepts = tuple(kept)
         return cls(domain, concepts, dedup)
 
+    @property
+    def m(self) -> int:
+        """Domain size, the name FiniteCofiniteClass uses too."""
+        return self.domain.size
+
     def __len__(self) -> int:
         return len(self.concepts)
 
@@ -337,53 +342,3 @@ class ClusterFamily:
 
     def union_mask(self) -> int:
         return self._union_bits
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_class: report-only, never raises."""
-
-    ok: bool
-    cardinality: int
-    violations: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-
-def validate_class(obj, concepts=None, *, dedup: bool | None = None) -> ValidationReport:
-    """Check a concept class, or raw (domain, concepts, dedup) parts.
-
-    The raw form exists so malformed material can be inspected without
-    tripping the constructors. Duplicates are a violation when the dedup
-    flag claims there are none, otherwise a warning.
-    """
-    if isinstance(obj, ConceptClass):
-        domain, concepts, dedup = obj.domain, obj.concepts, obj.dedup
-    else:
-        domain = obj
-        concepts = tuple(concepts or ())
-        dedup = bool(dedup)
-    violations: list[str] = []
-    warnings: list[str] = []
-    for k, c in enumerate(concepts):
-        if not isinstance(c, Concept):
-            violations.append(f"entry {k} is not a Concept")
-        elif c.m != domain.size:
-            violations.append(
-                f"concept {k} has length {c.m}, domain size is {domain.size}"
-            )
-    seen: dict[int, int] = {}
-    for k, c in enumerate(concepts):
-        if isinstance(c, Concept) and c.m == domain.size:
-            if c.bits in seen:
-                msg = f"concept {k} duplicates concept {seen[c.bits]}"
-                (violations if dedup else warnings).append(msg)
-            else:
-                seen[c.bits] = k
-    if not concepts:
-        warnings.append("class is empty")
-    return ValidationReport(
-        ok=not violations,
-        cardinality=len(concepts),
-        violations=tuple(violations),
-        warnings=tuple(warnings),
-    )

@@ -64,7 +64,7 @@ def empirical_sup_deviation(
     """
     _require_cell_sizes(n, trials, 1)
     structured = isinstance(cls, FiniteCofiniteClass)
-    m = cls.m if structured else cls.domain.size
+    m = cls.m
     if measure.m != m:
         raise ValueError("measure and class must share a domain")
     if not structured:

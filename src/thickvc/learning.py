@@ -69,7 +69,7 @@ def _label_masks(cls, positives, negatives) -> tuple[int, int]:
     """Bitsets of the positives and of the negatives. A point that is not
     an int in [0, m) raises ValueError, a point in both sets
     NoConsistentHypothesis."""
-    m = cls.m if isinstance(cls, FiniteCofiniteClass) else cls.domain.size
+    m = cls.m
     masks = []
     for points in (positives, negatives):
         mask = 0
@@ -147,11 +147,15 @@ class ImageResult:
     exhaustive: bool
 
 
-def _indexed_target(cls, index: int):
-    """The class member at a target index: a non-bool int in [0, K)."""
+def _indexed_target(cls, target):
+    """An int target (numpy integers too, never a bool) as the class member
+    at that index in [0, K); any other target as it is."""
+    if not isinstance(target, (int, np.integer)):
+        return target
+    index = require_int(target, "target index")
     structured = isinstance(cls, FiniteCofiniteClass)
     size = cls.size if structured else len(cls.concepts)
-    if isinstance(index, bool) or not 0 <= index < size:
+    if not 0 <= index < size:
         raise ValueError(f"target index {index!r} is not in [0, {size})")
     return cls.concept_at(index) if structured else cls.concepts[index]
 
@@ -183,8 +187,7 @@ def learner_image(
         raise WorkLimitExceeded(
             "structured classes have no exhaustive image; materialize first"
         )
-    if isinstance(target, int):
-        target = _indexed_target(cls, target)
+    target = _indexed_target(cls, target)
     m = cls.domain.size
     if mode == "exhaustive":
         _require_cell_sizes(n, 1, 0)  # exhaustive mode takes no trials
@@ -554,10 +557,9 @@ def pac_error_estimate(
     if no_hypothesis not in ("raise", "full-error"):
         raise ValueError(f"bad no_hypothesis policy {no_hypothesis!r}")
     structured = isinstance(cls, FiniteCofiniteClass)
-    m = cls.m if structured else cls.domain.size
+    m = cls.m
     enumeration_order = learner.kind == "enumeration" and learner.order is not None
-    if isinstance(target, int):
-        target = _indexed_target(cls, target)
+    target = _indexed_target(cls, target)
     if structured:
         if not isinstance(target, FCSet):
             raise ValueError("structured classes take FCSet targets")

@@ -36,7 +36,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -103,21 +102,6 @@ class ShatterCertificate:
             cls.concepts[k].bits & union == unions[pat]
             for pat, k in self.carvers.items()
         )
-
-
-def trace_count(cls: ConceptClass, points: Concept | Iterable[int]) -> int:
-    """Number of distinct intersections the class cuts out of a point set.
-
-    Equals 2^|points| exactly when the point set is shattered.
-    """
-    m = cls.domain.size
-    if isinstance(points, Concept):
-        if points.m != m:
-            raise DomainMismatch("point set lives on a different domain")
-        pmask = points.bits
-    else:
-        pmask = Concept.from_indices(m, points).bits if points else 0
-    return len({c.bits & pmask for c in cls.concepts})
 
 
 def vc_dimension(
@@ -565,15 +549,3 @@ def canonical_witness(cls: ConceptClass, carvers: dict[int, int]) -> ClusterFami
             raise EmptyWitness(f"carvers intersect to nothing at cluster {i}")
         clusters.append(Concept(m, a))
     return ClusterFamily(cls.domain, tuple(clusters), min_size=1)
-
-
-def sauer_bound(m: int, d: int) -> int:
-    """Max number of distinct concepts a class of VC dimension d can have."""
-    return sum(math.comb(m, k) for k in range(min(d, m) + 1))
-
-
-def sauer_shelah_ok(cls: ConceptClass, d: int | None = None) -> bool:
-    """Cross-check: distinct concept count within the size bound for VC = d."""
-    if d is None:
-        d = vc_dimension(cls)
-    return len({c.bits for c in cls.concepts}) <= sauer_bound(cls.domain.size, d)

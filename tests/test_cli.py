@@ -266,6 +266,39 @@ def test_query_failures_leave_stdout_empty(tmp_path, capsys):
     assert code == 2 and out == "" and missing[0] in err and missing[1] not in err
 
 
+def test_parser_looks_handlers_up_by_name(monkeypatch):
+    # the benchmark's tracer wraps each cmd_* attribute of the module
+    # before build_parser runs; a handler frozen earlier would escape it
+    # and leave cli.command_ms at 0
+    def sentinel(args):
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_vc", sentinel)
+    assert cli.build_parser().parse_args(["vc", "--class", "x"]).func is sentinel
+    monkeypatch.undo()
+    parser = cli.build_parser()
+    runs = [
+        ["vc", "--class", "x"],
+        ["vc-thick", "--class", "x", "--min-size", "1"],
+        ["vc-mod", "--class", "x", "--negligible", "y"],
+        ["vc-removal", "--class", "x", "--budget", "1"],
+        ["stone-check", "--class", "x", "--negligible", "y"],
+        ["pac-sim", "--config", "c", "--seed", "1"],
+        ["ugc-sim", "--config", "c", "--seed", "1"],
+        ["packing"],
+        ["bound", "--epsilon", "0.1", "--delta", "0.1", "--d", "1"],
+        *[["gen", fam] + [f"--{p.replace('_', '-')}=1" for p in params] + ["--out=o"]
+          for fam, (_, params) in cli.GENERATORS.items()],
+    ]
+    usage = parser.format_usage()
+    commands = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+    assert {r[0] for r in runs} == set(commands)
+    for argv in runs:
+        func = parser.parse_args(argv).func
+        assert func.__name__.startswith("cmd_"), argv
+        assert getattr(cli, func.__name__) is func, argv
+
+
 def test_bound_golden():
     r = run_cli("bound", "--epsilon", "0.1", "--delta", "0.05", "--d", "2")
     assert r.returncode == 0

@@ -12,7 +12,7 @@ from thickvc import (
     gen_random,
     restrict,
 )
-from thickvc.domain import membership_matrix, pack_rows, validate_class
+from thickvc.domain import membership_matrix, pack_rows
 
 
 def test_domain_validation():
@@ -72,11 +72,14 @@ def test_concept_class_and_dedup():
     cls = ConceptClass(d, (c0, c1, c1))
     assert len(cls) == 3
     assert cls[2] == c1
+    assert cls.m == cls.domain.size == 4
     deduped = ConceptClass.create(d, [c0, c1, c1, c0], dedup=True)
     assert len(deduped) == 2
     assert list(deduped.masks()) == [c0.bits, c1.bits]
     with pytest.raises(DomainMismatch):
         ConceptClass(d, (Concept.from_indices(5, [0]),))
+    with pytest.raises(TypeError, match="entry 1 is not a Concept"):
+        ConceptClass(d, (c0, c1.bits))
     with pytest.raises(ValueError):
         ConceptClass(d, (c1, c1), dedup=True)  # claims dedup but repeats
 
@@ -191,16 +194,3 @@ def test_principal_ideal_membership():
     assert ideal.contains(Concept.from_indices(5, [1]))
     assert ideal.contains(Concept.empty(5))
     assert not ideal.contains(Concept.from_indices(5, [1, 2]))
-
-
-def test_validate_class_reports():
-    d = Domain(3)
-    c = Concept.from_indices(3, [0])
-    rep = validate_class(ConceptClass(d, (c, c)))
-    assert rep.ok  # duplicates without a dedup claim are only a warning
-    assert rep.warnings
-    rep2 = validate_class(d, [c, c], dedup=True)
-    assert not rep2.ok and rep2.violations
-    rep3 = validate_class(d, [])
-    assert rep3.ok and rep3.warnings  # empty class flagged but not fatal
-    assert rep3.cardinality == 0

@@ -372,20 +372,28 @@ def test_pac_estimate_target_type_checks(monkeypatch):
         pac_error_estimate(sc, spec, Concept.empty(8), mu, 4, 5, 1)
     with pytest.raises(ValueError):
         pac_error_estimate(dense, spec, FCSet(8, "finite", frozenset()), mu, 4, 5, 1)
+    # a numpy integer (an index read out of an array) is an index too
+    for cls in (sc, dense):
+        want = pac_error_estimate(cls, spec, 3, mu, 4, 5, 1)
+        for k in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert pac_error_estimate(cls, spec, k, mu, 4, 5, 1) == want
     # an int target is a class index in [0, K): -1 would pick the last
     # concept and True concept 1; both are refused, like K itself, before
     # any sample is drawn
     monkeypatch.setattr(learning, "_draw_indices", _no_draws)
     for cls, k in ((sc, sc.size), (dense, len(dense.concepts))):
-        for bad in (-1, True, False, k):
+        for bad in (-1, True, False, k, np.int64(-1), np.int64(k)):
             with pytest.raises(ValueError, match="target index"):
                 pac_error_estimate(cls, spec, bad, mu, 4, 5, 1)
-    for bad in (-1, True, len(dense.concepts)):
+        with pytest.raises(ValueError):
+            pac_error_estimate(cls, spec, np.bool_(True), mu, 4, 5, 1)
+    for bad in (-1, True, len(dense.concepts), np.int64(-1)):
         with pytest.raises(ValueError, match="target index"):
             learner_image(dense, None, bad, 2)
-    assert learner_image(dense, None, 1, 2) == learner_image(
-        dense, None, dense.concepts[1], 2
-    )
+    for k in (1, np.int64(1)):
+        assert learner_image(dense, None, k, 2) == learner_image(
+            dense, None, dense.concepts[1], 2
+        )
 
 
 def test_adversarial_defeats_consistency_when_class_is_rich():
