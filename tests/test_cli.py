@@ -240,7 +240,7 @@ QUERY_RUNS = [
 @pytest.mark.parametrize("name", sorted(QUERY_CLASSES))
 def test_query_stdout_is_pinned(name, tmp_path, capsys):
     # the records of every query subcommand, byte for byte; stderr is not
-    # pinned (a --min-size above m warns with a source line number)
+    # pinned, since a Python warning there carries a source line number
     cls = QUERY_CLASSES[name]()
     cfile, nfile = tmp_path / "q.class", tmp_path / "neg.points"
     save_class(cls, str(cfile))
