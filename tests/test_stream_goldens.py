@@ -2,8 +2,8 @@
 
 Every simulated value comes from inverse-CDF draws on a derived stream. The
 other tests check how the draws are used and that they are reproducible;
-these pin the draws themselves, and the stdout of the simulation CLI, by
-sha256 digest. A sampler that moves one index at an edge, or a block size
+these pin the draws themselves, and the stdout and CSV files of the
+simulation CLI, by sha256 digest. A sampler that moves one index at an edge, or a block size
 that changes which uniforms a trial gets, fails here.
 
 A digest changes only with a declared stream change; when one is made,
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from thickvc import cli
 from thickvc import (
     DiscreteMeasure,
     FCSet,
@@ -177,3 +178,26 @@ def cli_digest(name: str, tmp_path, jobs: str = "1") -> str:
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_simulation_cli_stdout_is_pinned(name, tmp_path):
     assert cli_digest(name, tmp_path) == CLI_GOLDENS[name]
+
+
+CSV_GOLDENS = {
+    "pac-structured": "dab5e00865f9fa58bfdc6cfa3978b48641f2685699eaf833578dfe7abb053d33",
+    "ugc-power-set": "8beaa4f18d6e216677e740684aba126de1ff5a8a012ca39ab8fc49c85f4a8141",
+    "pac-intervals": "f367d6b9d559c3be5422c3ead565b656260df54e922485e6e4ea132bf80b4fad",
+}
+
+
+def csv_digest(name: str, tmp_path) -> str:
+    """sha256 of the --csv file of a CLI_CASES run, made in process."""
+    command, seed, config = CLI_CASES[name]
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / f"{name}.csv"
+    argv = [command, "--config", str(cfg), "--seed", seed, "--csv", str(out)]
+    assert cli.main(argv) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_simulation_cli_csv_is_pinned(name, tmp_path):
+    assert csv_digest(name, tmp_path) == CSV_GOLDENS[name]
