@@ -390,11 +390,21 @@ def _sim_config(args, what: str, fields: dict) -> list:
     return [_class_from_spec(cspec, base_dir), *values]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _emit_grid(args, record: str, recs: list, columns: list, say: str) -> int:
+    """Emit each grid record in grid order as `_base(record, **rec)`, write
+    the --csv file, whose cells are the record fields of the column names
+    (q50, q90, q99 and max read from quantiles), and say the summary."""
+    for rec in recs:
+        _emit(_base(record, **rec))
+    if args.csv:
+        with open(args.csv, "w", encoding="ascii", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(columns)
+            for rec in recs:
+                cells = {**rec, **rec.get("quantiles", {})}
+                w.writerow([cells[c] for c in columns])
+    _say(say)
+    return 0
 
 
 def cmd_pac_sim(args) -> int:
@@ -417,45 +427,19 @@ def cmd_pac_sim(args) -> int:
         for ti, target in enumerate(targets)
         for ni, n in enumerate(n_grid)
     ]
-    reports = _run_cells(_pac_cell, tasks, args.jobs)
-    rows = []
-    for i, rep in enumerate(reports):
-        tidx, nidx = divmod(i, len(n_grid))
-        rec = _base(
-            "pac",
-            target=tspecs[tidx],
-            target_index=tidx,
-            n=rep.n,
-            n_index=nidx,
-            trials=rep.trials,
-            learner=learner.kind,
-            mean_error=rep.mean_error,
-            stderr_mean=rep.stderr_mean,
-            quantiles=rep.quantiles,
-            frac_exceeding={str(k): v for k, v in rep.frac_exceeding.items()},
-            no_hypothesis_count=rep.no_hypothesis_count,
-            n_atom_bound=rep.n_atom_bound,
-            seed=args.seed,
-        )
-        _emit(rec)
-        rows.append(
-            [tidx, rep.n, rep.trials, rep.mean_error, rep.stderr_mean,
-             rep.quantiles["q50"], rep.quantiles["q90"],
-             rep.quantiles["q99"], rep.quantiles["max"],
-             rep.no_hypothesis_count]
-        )
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["target_index", "n", "trials", "mean_error", "stderr_mean",
-             "q50", "q90", "q99", "max", "no_hypothesis_count"],
-            rows,
-        )
-    _say(
+    recs = []
+    for rep, (*_, ti, ni) in zip(_run_cells(_pac_cell, tasks, args.jobs), tasks):
+        rec = {k: v for k, v in vars(rep).items() if k != "errors"}
+        rec["learner"] = rec.pop("learner_kind")
+        rec["frac_exceeding"] = {str(k): v for k, v in rep.frac_exceeding.items()}
+        recs.append(dict(rec, target=tspecs[ti], target_index=ti, n_index=ni))
+    return _emit_grid(
+        args, "pac", recs,
+        ["target_index", "n", "trials", "mean_error", "stderr_mean",
+         "q50", "q90", "q99", "max", "no_hypothesis_count"],
         f"pac-sim: {len(targets)} target(s) x {len(n_grid)} n value(s), "
-        f"{trials} trials each, learner={learner.kind}"
+        f"{trials} trials each, learner={learner.kind}",
     )
-    return 0
 
 
 def cmd_ugc_sim(args) -> int:
@@ -472,37 +456,17 @@ def cmd_ugc_sim(args) -> int:
         for mi, mu in enumerate(mus)
     ]
     fracs = _run_cells(ugc_cell, tasks, args.jobs)
-    rows = []
     k = len(mus)
-    for ni, n in enumerate(n_grid):
-        per = fracs[ni * k : (ni + 1) * k]
-        pt = assemble_ugc_point(n, epsilon, per, trials, n * bound)
-        rec = _base(
-            "ugc",
-            n=pt.n,
-            n_index=ni,
-            epsilon=pt.epsilon,
-            prob=pt.prob,
-            stderr=pt.stderr,
-            per_measure=list(pt.per_measure),
-            worst_measure=pt.worst_measure,
-            trials=pt.trials,
-            n_atom_bound=pt.n_atom_bound,
-            seed=args.seed,
-        )
-        _emit(rec)
-        rows.append([pt.n, pt.epsilon, pt.prob, pt.stderr, pt.n_atom_bound])
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["n", "epsilon", "prob", "stderr", "n_atom_bound"],
-            rows,
-        )
-    _say(
+    points = [
+        assemble_ugc_point(n, epsilon, fracs[ni * k : (ni + 1) * k], trials, n * bound)
+        for ni, n in enumerate(n_grid)
+    ]
+    recs = [dict(vars(pt), n_index=ni, seed=args.seed) for ni, pt in enumerate(points)]
+    return _emit_grid(
+        args, "ugc", recs, ["n", "epsilon", "prob", "stderr", "n_atom_bound"],
         f"ugc-sim: eps={epsilon}, {len(n_grid)} n value(s) x {k} measure(s), "
-        f"{trials} trials each"
+        f"{trials} trials each",
     )
-    return 0
 
 
 # generators
@@ -581,21 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
         "cross-validate the quotient route against the direct one", neg,
     )
 
-    p = sub.add_parser("pac-sim", help="PAC error Monte Carlo from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_pac_sim)
-
-    p = sub.add_parser(
-        "ugc-sim", help="uniform-deviation curve Monte Carlo from a config"
-    )
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_ugc_sim)
+    for name, func, about in (
+        ("pac-sim", cmd_pac_sim, "PAC error Monte Carlo from a config"),
+        ("ugc-sim", cmd_ugc_sim, "uniform-deviation curve Monte Carlo from a config"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--csv", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "packing",

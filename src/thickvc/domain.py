@@ -7,7 +7,7 @@ hashable, so instances can be shared freely across threads and processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,9 +43,6 @@ class Domain:
                 )
             if len(set(labels)) != len(labels):
                 raise ValueError("domain labels must be pairwise distinct")
-
-    def points(self) -> range:
-        return range(self.size)
 
     @property
     def full_mask(self) -> int:
@@ -332,13 +329,7 @@ class ClusterFamily:
             if union & a.bits:
                 raise ValueError(f"cluster {k} overlaps an earlier cluster")
             union |= a.bits
-        object.__setattr__(self, "_union_bits", union)
-
-    _union_bits: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.clusters)
-
-    def union_mask(self) -> int:
-        return self._union_bits

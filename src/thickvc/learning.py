@@ -139,25 +139,28 @@ def adversarial_consistent_learner(
     return best[1]
 
 
-@dataclass(frozen=True)
-class ImageResult:
-    """Set of indices a learner can output for one target at sample size n."""
-
-    indices: frozenset[int]
-    exhaustive: bool
-
-
 def _indexed_target(cls, target):
-    """An int target (numpy integers too, never a bool) as the class member
-    at that index in [0, K); any other target as it is."""
-    if not isinstance(target, (int, np.integer)):
-        return target
-    index = require_int(target, "target index")
+    """The target checked against the class: an int (numpy integers too,
+    never a bool) is the member at that index in [0, K); otherwise a
+    structured class takes an FCSet member and a materialized class a
+    Concept (ValueError), on the class domain (DomainMismatch)."""
     structured = isinstance(cls, FiniteCofiniteClass)
-    size = cls.size if structured else len(cls.concepts)
-    if not 0 <= index < size:
-        raise ValueError(f"target index {index!r} is not in [0, {size})")
-    return cls.concept_at(index) if structured else cls.concepts[index]
+    if isinstance(target, (int, np.integer)):
+        index = require_int(target, "target index")
+        size = cls.size if structured else len(cls.concepts)
+        if not 0 <= index < size:
+            raise ValueError(f"target index {index!r} is not in [0, {size})")
+        return cls.concept_at(index) if structured else cls.concepts[index]
+    if structured:
+        if not isinstance(target, FCSet):
+            raise ValueError("structured classes take FCSet targets")
+        if not cls.in_class(target):
+            raise ValueError("structured target is not a member of the class")
+    elif not isinstance(target, Concept):
+        raise ValueError("materialized classes take Concept targets")
+    elif target.m != cls.m:
+        raise DomainMismatch("target and measure must live on the class domain")
+    return target
 
 
 def learner_image(
@@ -166,53 +169,38 @@ def learner_image(
     target: Concept | int,
     n: int,
     *,
-    mode: str = "exhaustive",
-    trials: int | None = None,
-    seed: int | None = None,
     work_limit: int = DEFAULT_WORK_LIMIT,
-) -> ImageResult:
-    """All outputs of the enumeration learner over samples of length n.
+) -> frozenset[int]:
+    """Indices of all outputs of the enumeration learner over samples of
+    length n.
 
     The learner sees only which points got label 1 and which got 0, so the
     image over all m^n sequences equals the image over supports: the empty
     support for n = 0, else every nonempty support of size <= n (any such
-    support is realized by a sequence with repetitions). Exhaustive mode
-    walks the supports and refuses when their count passes the work limit;
-    sampled mode draws uniform sequences instead and is flagged
-    non-exhaustive. n (>= 0) and, in sampled mode, trials (>= 1) must be
-    ints, not bools (ValueError). No image is empty, since the target fits
-    its own labels.
+    support is realized by a sequence with repetitions). The supports are
+    walked exhaustively, refused when their count passes the work limit.
+    The target is checked as pac_error_estimate checks it, and n (>= 0)
+    must be an int, not a bool (ValueError). No image is empty, since the
+    target fits its own labels.
     """
+    target = _indexed_target(cls, target)
     if isinstance(cls, FiniteCofiniteClass):
         raise WorkLimitExceeded(
             "structured classes have no exhaustive image; materialize first"
         )
-    target = _indexed_target(cls, target)
-    m = cls.domain.size
-    if mode == "exhaustive":
-        _require_cell_sizes(n, 1, 0)  # exhaustive mode takes no trials
-        sizes = range(1, min(n, m) + 1) if n else (0,)
-        total = sum(math.comb(m, k) for k in sizes if k)
-        if total > work_limit:
-            raise WorkLimitExceeded(
-                f"{total} supports exceed the work limit {work_limit}", work_limit
-            )
-        supports = chain.from_iterable(combinations(range(m), k) for k in sizes)
-    elif mode == "sampled":
-        if trials is None or seed is None:
-            raise ValueError("sampled mode needs trials and seed")
-        _require_cell_sizes(n, trials, 0)
-        supports = (
-            derive_rng(seed, "image", tr).integers(0, m, size=n).tolist()
-            for tr in range(trials)
+    m = cls.m
+    _require_cell_sizes(n, 1, 0)  # the image takes no trials
+    sizes = range(1, min(n, m) + 1) if n else (0,)
+    total = sum(math.comb(m, k) for k in sizes if k)
+    if total > work_limit:
+        raise WorkLimitExceeded(
+            f"{total} supports exceed the work limit {work_limit}", work_limit
         )
-    else:
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    out = frozenset(
+    supports = chain.from_iterable(combinations(range(m), k) for k in sizes)
+    return frozenset(
         enumeration_learner(cls, order, *label_sample(target, pts))
         for pts in supports
     )
-    return ImageResult(out, mode == "exhaustive")
 
 
 def sample_complexity_bound(epsilon: float, delta: float, d: int) -> int:
@@ -558,21 +546,13 @@ def pac_error_estimate(
         raise ValueError(f"bad no_hypothesis policy {no_hypothesis!r}")
     structured = isinstance(cls, FiniteCofiniteClass)
     m = cls.m
-    enumeration_order = learner.kind == "enumeration" and learner.order is not None
     target = _indexed_target(cls, target)
-    if structured:
-        if not isinstance(target, FCSet):
-            raise ValueError("structured classes take FCSet targets")
-        if not cls.in_class(target):
-            raise ValueError("structured target is not a member of the class")
-        if enumeration_order:
+    if learner.kind == "enumeration" and learner.order is not None:
+        if structured:
             raise ValueError("structured classes use their canonical order only")
-    else:
-        if not isinstance(target, Concept):
-            raise ValueError("materialized classes take Concept targets")
-        if enumeration_order and len(learner.order) != len(cls.concepts):
+        if len(learner.order) != len(cls.concepts):
             raise ValueError("order must be a permutation of the class indices")
-    if target.m != m or measure.m != m:
+    if measure.m != m:
         raise DomainMismatch("target and measure must live on the class domain")
     run = _structured_trials if structured else _dense_trials
     errors, found = run(

@@ -80,19 +80,11 @@ class DiscreteMeasure:
         rank[order] = np.arange(self.m, dtype=np.int32)
         return order, rank
 
-    def weight(self, i: int) -> float:
-        return self.weights[i]
-
     def mass(self, indices: Iterable[int]) -> float:
         idx = list(indices)
         if not idx:
             return 0.0
         return float(self._arr[idx].sum())
-
-    def measure_of(self, c: Concept) -> float:
-        if c.m != self.m:
-            raise DomainMismatch("concept lives on a different domain")
-        return self.mass(c.indices())
 
 
 def uniform(m: int) -> DiscreteMeasure:

@@ -12,6 +12,7 @@ from thickvc import (
     ConceptClass,
     DiscreteMeasure,
     Domain,
+    DomainMismatch,
     FCSet,
     FiniteCofiniteClass,
     LearnerSpec,
@@ -208,8 +209,7 @@ def test_learner_image_matches_brute_force():
             tgt = cls.concepts[tidx]
             for n in (0, 1, 2, 3):
                 got = learner_image(cls, order, tgt, n)
-                assert got.exhaustive
-                assert got.indices == brute_image(cls, order, tgt, n), (
+                assert got == brute_image(cls, order, tgt, n), (
                     order,
                     tidx,
                     n,
@@ -227,19 +227,16 @@ def test_learner_image_prefix_property():
         pos = {k: i for i, k in enumerate(order)}
         tidx = int(rng.integers(0, K))
         img = learner_image(cls, order, cls.concepts[tidx], 3)
-        assert all(pos[i] <= pos[tidx] for i in img.indices), trial
+        assert all(pos[i] <= pos[tidx] for i in img), trial
 
 
-def test_learner_image_int_target_sampled_and_limits():
+def test_learner_image_int_target_and_limits():
     cls = gen_intervals(5)
-    full = learner_image(cls, None, 3, 2)
-    sub = learner_image(cls, None, 3, 2, mode="sampled", trials=40, seed=11)
-    assert not sub.exhaustive
-    assert sub.indices <= full.indices
+    assert learner_image(cls, None, 3, 2) == learner_image(
+        cls, None, cls.concepts[3], 2
+    )
     with pytest.raises(WorkLimitExceeded):
         learner_image(cls, None, 3, 4, work_limit=3)
-    with pytest.raises(ValueError):
-        learner_image(cls, None, 3, 2, mode="sampled")
     with pytest.raises(WorkLimitExceeded):
         learner_image(FiniteCofiniteClass(30, 2), None, 0, 2)
 
@@ -249,15 +246,8 @@ def test_learner_image_takes_strict_sizes():
     for n in (-1, True, False, 2.0):
         with pytest.raises(ValueError):
             learner_image(cls, None, 3, n)
-        with pytest.raises(ValueError):
-            learner_image(cls, None, 3, n, mode="sampled", trials=5, seed=1)
-    for trials in (0, -2, True, 3.0):
-        with pytest.raises(ValueError):
-            learner_image(cls, None, 3, 2, mode="sampled", trials=trials, seed=1)
     # the target fits its own labels, so no image is empty
-    assert learner_image(cls, None, 3, 0).indices == {0}
-    sampled = learner_image(cls, None, 3, 2, mode="sampled", trials=1, seed=1)
-    assert len(sampled.indices) == 1
+    assert learner_image(cls, None, 3, 0) == {0}
     assert learner_image(cls, None, 3, np.int64(2)) == learner_image(cls, None, 3, 2)
 
 
@@ -431,6 +421,30 @@ def test_pac_estimate_rejects_structured_target_outside_class():
 
 def _no_draws(*args, **kwargs):
     raise AssertionError("drew a sample before validating the learner")
+
+
+def test_front_doors_refuse_the_same_targets(monkeypatch):
+    # learner_image and pac_error_estimate share one target check, so a bad
+    # target gets the same exception and message from both, before any draw
+    monkeypatch.setattr(learning, "_draw_indices", _no_draws)
+    iv, sc = gen_intervals(5), FiniteCofiniteClass(30, 2)
+    spec = LearnerSpec("enumeration")
+    cases = [
+        (iv, np.bool_(True), ValueError, "materialized classes take Concept"),
+        (iv, "abc", ValueError, "materialized classes take Concept"),
+        (iv, Concept.from_indices(7, [5, 6]), DomainMismatch, "class domain"),
+        (sc, FCSet(31, "finite", frozenset({30})), ValueError, "not a member"),
+    ]
+    for cls, bad, kind, match in cases:
+        got = []
+        for door in (
+            lambda: learner_image(cls, None, bad, 2),
+            lambda: pac_error_estimate(cls, spec, bad, uniform(cls.m), 2, 3, 1),
+        ):
+            with pytest.raises(kind, match=match) as info:
+                door()
+            got.append((type(info.value), str(info.value)))
+        assert got[0] == got[1], bad
 
 
 def test_pac_estimate_rejects_order_on_structured_class_before_drawing(monkeypatch):

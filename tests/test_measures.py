@@ -24,10 +24,10 @@ def test_basic_properties():
     mu = uniform(4)
     assert mu.m == 4
     assert mu.atom_bound == 0.25
-    assert mu.weight(2) == 0.25
+    assert mu.weights[2] == 0.25
     assert mu.mass([0, 3]) == pytest.approx(0.5)
     assert mu.mass([]) == 0.0
-    assert mu.measure_of(Concept.from_indices(4, [1, 2])) == pytest.approx(0.5)
+    assert mu.mass(Concept.from_indices(4, [1, 2]).indices()) == pytest.approx(0.5)
 
 
 def test_sum_tolerance_bands():
@@ -58,7 +58,7 @@ def test_uniform_on_and_point_mass():
     assert mu.weights[4] == pytest.approx(1 / 3)
     assert mu.atom_bound == pytest.approx(1 / 3)
     pm = point_mass(5, 3)
-    assert pm.atom_bound == 1.0 and pm.weight(3) == 1.0
+    assert pm.atom_bound == 1.0 and pm.weights[3] == 1.0
     with pytest.raises(ValueError):
         uniform_on(Concept.empty(4))
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_sampling_frequencies_converge():
     s = sample_iid(mu, 20_000, 99)
     freq = collections.Counter(s)
     for i in range(3):
-        assert freq[i] / 20_000 == pytest.approx(mu.weight(i), abs=0.02)
+        assert freq[i] / 20_000 == pytest.approx(mu.weights[i], abs=0.02)
 
 
 class _TopOfUnitInterval:
