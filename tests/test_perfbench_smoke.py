@@ -4,8 +4,8 @@ The benchmark in `perfbench/` counts a wrong answer or an exception as a
 failed op. This builds each workload of `perfbench.workloads.SETUPS` at one
 seed and runs the first op of each kind through that op's own check, so a
 library change that would make a benchmark run fail shows here. CLI ops run
-in process, through `thickvc.cli.main`. Nothing under `perfbench/` is
-written to.
+in process, through `thickvc.cli.main`. Each workload writes its input
+files under pytest's `tmp_path`.
 """
 
 import sys
