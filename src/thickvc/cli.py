@@ -448,6 +448,8 @@ def cmd_ugc_sim(args) -> int:
             "measures": [dict], "n_grid": [int], "epsilon": float, "trials": int,
         },
     )
+    if not mspecs:
+        raise FormatError("ugc-sim config 'measures' must be a nonempty list")
     mus = [_measure_from_spec(s, cls.m) for s in mspecs]
     bound = max(mu.atom_bound for mu in mus)
     tasks = [

@@ -71,8 +71,11 @@ def empirical_sup_deviation(
         cls.require_nonempty()
         mat = membership_matrix(cls.masks(), m).astype(np.float64)
         true_mass = mat @ measure._arr
-        # (counts @ C^T) in row chunks below BLAS's threading size
+        matT = np.ascontiguousarray(mat.T)
+        # (counts @ C^T) in row chunks below BLAS's threading size, each
+        # scanned in place in one buffer
         chunk = max(1, _GEMM_ENTRIES // mat.size)
+        buf = np.empty((min(chunk, trials), len(mat)))
 
     sups = np.empty(trials)
     rng = derive_rng(seed, "dev", *seed_path)
@@ -86,9 +89,14 @@ def empirical_sup_deviation(
         for a in range(0, len(counts), chunk):
             # integer counts times a 0/1 matrix are exact in any summation
             # order, so each frequency is count_C / n rounded once
-            hits = counts[a : a + chunk] @ mat.T
+            c = counts[a : a + chunk]
+            h = buf[: len(c)]
+            np.matmul(c, matT, out=h)
+            h /= n
+            h -= true_mass
+            np.abs(h, out=h)
             r = first + a
-            sups[r : r + len(hits)] = np.max(np.abs(hits / n - true_mass), axis=1)
+            h.max(axis=1, out=sups[r : r + len(c)])
     sups = sups.tolist()
     mean = sum(sups) / trials
     return DeviationReport(

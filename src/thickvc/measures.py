@@ -22,6 +22,10 @@ from .rng import derive_rng
 # vector is renormalized; beyond that construction fails.
 SUM_EXACT_TOL = 1e-12
 SUM_FIX_TOL = 1e-9
+# _draw_indices' guide table: the least power of two at least GUIDE_PER_POINT
+# times (positive-weight points + 1) buckets, capped at GUIDE_MAX
+GUIDE_PER_POINT = 64
+GUIDE_MAX = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -59,16 +63,27 @@ class DiscreteMeasure:
 
     @cached_property
     def _guide(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(G, start, pad): the guide table of _draw_indices, built on the
-        first draw. Over cum = _cum[:_last], which folds in the _last clamp,
-        start[b] = #{i : cum[i] <= (b - 1) / G} (start[0] = 0) never passes
-        the answer for a u with u * G rounding to b, and pad is cum with an
-        inf stop at the end."""
+        """(G, table, pad): the guide table of _draw_indices, built on the
+        first draw. G is a power of two, so u * G is exact and u lies in
+        bucket b = floor(u * G), [b / G, (b + 1) / G). Over cum =
+        _cum[:_last], which folds in the _last clamp, start[b] = #{i :
+        cum[i] <= b / G} is every draw in a bucket with no cum value inside
+        (b / G, (b + 1) / G); table[b] holds start[b] there and ~start[b]
+        (negative) in the other, mixed buckets. Each positive-weight point
+        makes at most one bucket mixed, so mixed buckets hold at most
+        (positive points) / G of the mass. pad is cum with an inf stop."""
         cum = self._cum[: self._last]
-        G = 2 * self.m
-        edges = np.searchsorted(cum, np.arange(G) / G, side="right")
-        start = np.concatenate(([0], edges))
-        return G, start, np.append(cum, np.inf)
+        want = GUIDE_PER_POINT * (int(np.count_nonzero(self._arr)) + 1)
+        G = min(1 << (want - 1).bit_length(), GUIDE_MAX)
+        x = cum * G
+        # start[b] = j on the buckets ceil(x[j - 1]) <= b < ceil(x[j])
+        ends = np.minimum(np.ceil(x), G).astype(np.intp)
+        sizes = np.diff(ends, prepend=0, append=G)
+        table = np.repeat(np.arange(cum.size + 1, dtype=np.int32), sizes)
+        below = np.floor(x)
+        mixed = below[(below != x) & (x < G)].astype(np.intp)
+        table[mixed] = ~table[mixed]
+        return G, table, np.append(cum, np.inf)
 
     @cached_property
     def _heavy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -150,22 +165,31 @@ def _draw_indices(
     however the run is cut into blocks. A draw is #{i : cum_i <= u},
     clamped to the last positive-weight point (u past a cumsum that ends
     short of 1 never lands on a zero-weight point): searchsorted's index,
-    found through a guide table (Chen & Asau 1974). Two vectorized steps
-    forward from the table's start resolve nearly every u; the rest go to
-    searchsorted itself, so the result never depends on bucket occupancy.
+    found through a guide table (Chen & Asau 1974) that knows each u's
+    bucket exactly. One gather resolves every u in a bucket with no cumsum
+    value inside; the rest take one step forward from their bucket's start
+    and, if still short, go to searchsorted itself, so the result never
+    depends on bucket occupancy.
     """
     if np.prod(n) == 0:
         return np.empty(n, dtype=np.int64)
     u = rng.random(n)
-    G, start, pad = measure._guide
+    G, table, pad = measure._guide
     flat = u.ravel()
-    idx = start[(flat * G).astype(np.intp)]
-    for _ in range(2):
-        idx += pad[idx] <= flat
-    left = np.flatnonzero(pad[idx] <= flat)
-    if left.size:
-        idx[left] = np.searchsorted(pad[:-1], flat[left], side="right")
-    return idx.astype(np.int64, copy=False).reshape(u.shape)
+    # float -> int32 -> intp casts faster than float -> intp, and take with
+    # intp indices gathers faster than fancy indexing
+    b = (flat * G).astype(np.int32).astype(np.intp)
+    idx = table.take(b).astype(np.int64)
+    mixed = np.flatnonzero(idx < 0)
+    if mixed.size:
+        v = flat[mixed]
+        j = ~idx[mixed]
+        j += pad[j] <= v
+        left = np.flatnonzero(pad[j] <= v)
+        if left.size:
+            j[left] = np.searchsorted(pad[:-1], v[left], side="right")
+        idx[mixed] = j
+    return idx.reshape(u.shape)
 
 
 def _row_counts(idx: np.ndarray, m: int) -> np.ndarray:

@@ -606,6 +606,20 @@ def test_ugc_sim_rejects_unknown_keys(tmp_path, capsys):
         assert (code, out) == (2, "") and "input error" in err, (key, value)
 
 
+def test_ugc_sim_refuses_an_empty_measures_list(tmp_path, capsys):
+    # it once exited 2 with "bad arguments: max() arg is an empty sequence"
+    cfg = tmp_path / "ugc.json"
+    bad = {
+        "class": {"generator": {"family": "power-set", "r": 3}},
+        "measures": [],
+        "n_grid": [10],
+        "epsilon": 0.25,
+        "trials": 10,
+    }
+    code, out, err = main_on_config(capsys, cfg, "ugc-sim", bad)
+    assert (code, out) == (2, "") and "input error" in err and "'measures'" in err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_sims_refuse_a_non_finite_epsilon(tmp_path, capsys, bad):
     # JSON configs may spell NaN and Infinity; they once exited 0 and

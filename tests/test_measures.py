@@ -17,7 +17,13 @@ from thickvc import (
     uniform,
     uniform_on,
 )
-from thickvc.measures import _draw_indices, point_mass, sample_iid
+from thickvc.measures import (
+    GUIDE_MAX,
+    GUIDE_PER_POINT,
+    _draw_indices,
+    point_mass,
+    sample_iid,
+)
 
 
 def test_basic_properties():
@@ -136,9 +142,13 @@ def _reference(mu, u):
 
 
 def _edge_uniforms(mu):
-    """Every bucket edge j/G and its neighbours on both sides, every cumsum
-    value and the float below it, 0 and the largest float below 1."""
-    edges = np.arange(2 * mu.m + 1) / (2 * mu.m)
+    """Every edge j/(2m) of the old guide table and j/G of the current one
+    with its neighbours on both sides, every cumsum value and the float
+    below it, 0 and the largest float below 1."""
+    G = mu._guide[0]
+    edges = np.concatenate([
+        np.arange(2 * mu.m + 1) / (2 * mu.m), np.arange(G + 1) / G,
+    ])
     u = np.concatenate([
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
         mu._cum, np.nextafter(mu._cum, 0.0), [0.0, np.nextafter(1.0, 0.0)],
@@ -193,26 +203,92 @@ def test_renormalised_cumsums_end_on_both_sides_of_one():
     assert EDGE_MEASURES["renormalised above 1"]._cum[-1] > 1.0
 
 
-def test_bucket_of_u_can_start_past_u():
-    # u just below a cumsum value that is itself a bucket edge: u * G rounds
-    # up to that bucket, so the table must start from the bucket before it
+def test_power_of_two_bucket_of_u_never_starts_past_u():
+    # u just below a cumsum value that is itself an edge j/(2m): u * 2m
+    # rounds up to that edge, past u; u * G for a power of two G is exact,
+    # so the table's bucket b always has b/G <= u < (b + 1)/G
     mu = uniform(13)
-    G = 2 * mu.m
     u = _edge_uniforms(mu)
+    old = (u * 2 * mu.m).astype(np.intp)
+    assert np.any((old / (2 * mu.m) > u) & np.isin(old / (2 * mu.m), mu._cum))
+    G = mu._guide[0]
     b = (u * G).astype(np.intp)
-    assert np.any((b / G > u) & np.isin(b / G, mu._cum))
+    assert G & (G - 1) == 0
+    assert np.all((b / G <= u) & (u < (b + 1) / G))
     _assert_draws_match_searchsorted(mu, u)
 
 
-def test_draw_indices_residual_searchsorted_path():
-    # the 999 light atoms all sit in bucket 0, so a u there starts at index
-    # 0 and two forward steps cannot reach it: searchsorted finishes it
-    mu = _cluster()
-    u = np.concatenate([np.linspace(0.0, 2e-9, 400), derive_rng(6, "c").random(400)])
-    G, start, _ = mu._guide
-    steps = _reference(mu, u) - start[(u * G).astype(np.intp)]
-    assert steps.min() >= 0 and np.count_nonzero(steps > 2) > 300
+def _paths(mu, u):
+    """Which path of _draw_indices resolves each u: 0 the table's gather,
+    1 one step forward from the bucket's start, 2 searchsorted."""
+    G, table, _ = mu._guide
+    t = table[(u * G).astype(np.intp)].astype(np.int64)
+    steps = _reference(mu, u) - ~t
+    assert np.all(steps[t < 0] >= 0)
+    return np.where(t >= 0, 0, np.where(steps <= 1, 1, 2))
+
+
+def test_draw_indices_reach_gather_step_and_searchsorted_paths():
+    # the 999 light atoms all sit in bucket 0, so a u there past the first
+    # two starts at index 0 and one step cannot reach it: searchsorted
+    # finishes it. The cumsums 0.3 and 0.6 each sit alone inside a bucket,
+    # which one step resolves; every other bucket holds no cumsum.
+    mu = DiscreteMeasure((1e-12,) * 999 + (0.3 - 999e-12, 0.3, 0.4))
+    G = mu._guide[0]
+    lone = [np.linspace(b / G, (b + 1) / G, 200, endpoint=False)
+            for b in (int(0.3 * G), int(0.6 * G))]
+    u = np.concatenate([
+        np.linspace(0.0, 2e-9, 400), *lone, derive_rng(6, "c").random(400),
+    ])
+    paths = _paths(mu, u)
+    assert all(np.count_nonzero(paths == k) >= 300 for k in range(3))
     _assert_draws_match_searchsorted(mu, u)
+
+
+def _harmonic(m):
+    w = 1.0 / np.arange(1, m + 1)
+    return DiscreteMeasure(tuple(w / w.sum()))
+
+
+GUARD_MEASURES = {
+    **EDGE_MEASURES,
+    "uniform_on half of 1000": uniform_on(Concept.from_indices(1000, range(0, 1000, 2))),
+    "harmonic(1000)": _harmonic(1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_MEASURES))
+def test_guide_table_mixed_mass_bound(name):
+    # built fresh: the table is lazy and stays outside equality and repr
+    mu = DiscreteMeasure(GUARD_MEASURES[name].weights)
+    assert "_guide" not in vars(mu)
+    twin = DiscreteMeasure(mu.weights)
+    G, table, pad = mu._guide
+    assert "_guide" in vars(mu) and "_guide" not in vars(twin)
+    assert mu == twin and repr(mu) == repr(twin) and hash(mu) == hash(twin)
+    positive = np.count_nonzero(mu._arr)
+    assert G & (G - 1) == 0 and G >= min(GUIDE_MAX, GUIDE_PER_POINT * (positive + 1))
+    assert table.dtype == np.int32 and table.shape == (G,)
+    # mixed buckets hold at most (positive points) / G of the mass
+    mixed = table < 0
+    assert np.count_nonzero(mixed) / G <= positive / G
+    # a pure bucket's entry is the draw at both its ends; a mixed bucket's
+    # start is the draw at its left end
+    lo = np.arange(G) / G
+    hi = np.nextafter((np.arange(G) + 1) / G, 0.0)
+    start = np.where(mixed, ~table, table)
+    np.testing.assert_array_equal(start, _reference(mu, lo))
+    np.testing.assert_array_equal(table[~mixed], _reference(mu, hi)[~mixed])
+    assert pad[-1] == np.inf and pad.size == mu._last + 1
+
+
+def test_guide_table_bytes_at_a_million_points():
+    # the old layout took 2m + 1 int64 starts and an m-entry float64 pad
+    m = 10**6
+    mu = uniform(m)
+    G, table, pad = mu._guide
+    assert table.nbytes + pad.nbytes <= 8 * (2 * m + 1) + 8 * m
+    assert np.count_nonzero(table < 0) <= m
 
 
 def test_guide_table_is_lazy_and_outside_equality():
