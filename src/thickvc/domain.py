@@ -8,6 +8,7 @@ hashable, so instances can be shared freely across threads and processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -246,6 +247,18 @@ class ConceptClass:
 
     def masks(self) -> list[int]:
         return [c.bits for c in self.concepts]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only bool membership matrix, concept k as row k, built on
+        first use. It is a cache of the concepts, so it stays out of ==,
+        hash, repr and pickles."""
+        mat = membership_matrix(self.masks(), self.m)
+        mat.flags.writeable = False
+        return mat
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "matrix"}
 
     def require_nonempty(self) -> None:
         if not self.concepts:

@@ -22,6 +22,7 @@ from .domain import _GEMM_ENTRIES, ConceptClass, membership_matrix, pack_rows
 from .errors import DomainMismatch, WorkLimitExceeded
 from .fincofin import FiniteCofiniteClass
 from .learning import (
+    _left_sum,
     _quantile_points,
     _require_cell_sizes,
     _require_epsilons,
@@ -62,6 +63,19 @@ def empirical_sup_deviation(
     trials x n uniforms, so no result depends on how the rows are blocked.
     n and trials must be ints >= 1, not bools (ValueError otherwise).
     """
+    sups = _sup_deviations(cls, measure, n, trials, seed, seed_path)
+    return DeviationReport(
+        sups=tuple(sups.tolist()),
+        mean=_left_sum(sups) / trials,
+        quantiles=_quantile_points(sups, with_min=True),
+        n=n,
+        trials=trials,
+        n_atom_bound=n * measure.atom_bound,
+    )
+
+
+def _sup_deviations(cls, measure, n, trials, seed, seed_path) -> np.ndarray:
+    """The per-trial sups of empirical_sup_deviation, as a float64 array."""
     _require_cell_sizes(n, trials, 1)
     structured = isinstance(cls, FiniteCofiniteClass)
     m = cls.m
@@ -69,13 +83,15 @@ def empirical_sup_deviation(
         raise ValueError("measure and class must share a domain")
     if not structured:
         cls.require_nonempty()
-        mat = membership_matrix(cls.masks(), m).astype(np.float64)
-        true_mass = mat @ measure._arr
-        matT = np.ascontiguousarray(mat.T)
+        C = cls.matrix
+        # the masses from a C-order float copy, each the float it always
+        # was (a product with matT.T sums in another order)
+        true_mass = C.astype(np.float64) @ measure._arr
+        matT = C.T.astype(np.float64, order="C")
         # (counts @ C^T) in row chunks below BLAS's threading size, each
         # scanned in place in one buffer
-        chunk = max(1, _GEMM_ENTRIES // mat.size)
-        buf = np.empty((min(chunk, trials), len(mat)))
+        chunk = max(1, _GEMM_ENTRIES // C.size)
+        buf = np.empty((min(chunk, trials), len(C)))
 
     sups = np.empty(trials)
     rng = derive_rng(seed, "dev", *seed_path)
@@ -97,16 +113,7 @@ def empirical_sup_deviation(
             np.abs(h, out=h)
             r = first + a
             h.max(axis=1, out=sups[r : r + len(c)])
-    sups = sups.tolist()
-    mean = sum(sups) / trials
-    return DeviationReport(
-        sups=tuple(sups),
-        mean=mean,
-        quantiles=_quantile_points(sups, with_min=True),
-        n=n,
-        trials=trials,
-        n_atom_bound=n * measure.atom_bound,
-    )
+    return sups
 
 
 @dataclass(frozen=True)
@@ -140,10 +147,8 @@ def ugc_cell(
     epsilon must be a finite real, not a bool (ValueError before any draw).
     """
     _require_epsilons((epsilon,), "epsilon")
-    rep = empirical_sup_deviation(
-        cls, measure, n, trials, seed, seed_path=("ugc", ni, mi)
-    )
-    return sum(1 for s in rep.sups if s >= epsilon) / trials
+    sups = _sup_deviations(cls, measure, n, trials, seed, ("ugc", ni, mi))
+    return np.count_nonzero(sups >= epsilon) / trials
 
 
 def assemble_ugc_point(

@@ -241,9 +241,9 @@ class PacReport:
         return self.frac_exceeding[eps]
 
 
-def _quantile_points(vals: list[float], *, with_min: bool = False) -> dict[str, float]:
+def _quantile_points(vals: np.ndarray, *, with_min: bool = False) -> dict[str, float]:
     """q50, q90, q99 (nearest rank), then min if asked, then max."""
-    srt = sorted(vals)
+    srt = np.sort(vals).tolist()
     T = len(srt)
     out = {}
     for q in (0.5, 0.9, 0.99):
@@ -253,6 +253,13 @@ def _quantile_points(vals: list[float], *, with_min: bool = False) -> dict[str, 
         out["min"] = srt[0]
     out["max"] = srt[-1]
     return out
+
+
+def _left_sum(vals: np.ndarray) -> float:
+    """Sum of vals added left to right from the first, the order Python
+    3.11's builtin sum adds floats in; from 3.12 on sum() compensates, so
+    a report summed with it would depend on the Python version."""
+    return float(np.cumsum(vals)[-1])
 
 
 def _require_cell_sizes(n, trials, least_n: int) -> None:
@@ -322,14 +329,22 @@ def _words(rows: np.ndarray) -> np.ndarray:
 
 def _row_masses(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Measure of each bool row's set, summed as DiscreteMeasure.mass sums
-    the row's ascending index list. Rows of one popcount share one (rows x
-    popcount) gather whose axis-1 sum is numpy's pairwise sum per row, the
-    same as the one-row sum."""
+    the row's ascending index list. The rows are sorted stably by popcount
+    and their weights gathered in one pass; the rows of popcount c are then
+    one (rows x c) block whose axis-1 sum is numpy's pairwise sum per row,
+    the same as the one-row sum. No rows give an empty array."""
     counts = rows.sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    vals = w[np.nonzero(rows[order])[1]]
+    sizes = np.bincount(counts)
+    sums = np.empty(len(rows))
+    a = b = 0  # first row and first weight of the next block
+    for c in np.flatnonzero(sizes).tolist():
+        g = int(sizes[c])
+        sums[a : a + g] = vals[b : b + g * c].reshape(g, c).sum(axis=1)
+        a, b = a + g, b + g * c
     out = np.empty(len(rows))
-    for c in np.unique(counts).tolist():
-        sel = np.flatnonzero(counts == c)
-        out[sel] = w[np.nonzero(rows[sel])[1].reshape(sel.size, c)].sum(axis=1)
+    out[order] = sums
     return out
 
 
@@ -340,26 +355,29 @@ def _dense_trials(cls, learner, target, measure, n, trials, rng):
     A concept is consistent with a sample when it agrees with the target on
     every drawn point: with the rows of (C xor T) in the learner's order and
     each sample's presence row packed into uint64 words, when no word of
-    presence & (C xor T) is nonzero. The test is exact at any width. The
-    enumeration learner takes the first consistent concept in its order,
-    the adversary the first maximum of the distance over consistent ones.
-    Blocks are sized by the K x words test per row. The distances are
-    those symdiff_distance reports (see _row_masses).
+    presence & (C xor T) is nonzero. The test is exact at any width. Each
+    learner takes the first consistent concept in its order: the
+    enumeration learner in its own, the adversary in the order of
+    decreasing distance, ties to the least index, which picks the first
+    maximum of the distance over the consistent concepts. Blocks are sized
+    by the K x words test per row. The distances are those
+    symdiff_distance reports (see _row_masses).
     """
     K = len(cls.concepts)
     if K == 0:  # nothing fits any sample
         return np.ones(trials), np.zeros(trials, dtype=bool)
     adversarial = learner.kind == "adversarial"
-    if adversarial or learner.order is None:
-        order = np.arange(K)
-    else:
-        order = np.asarray(learner.order)
-    C = membership_matrix(cls.masks(), measure.m)
+    C = cls.matrix
     T = membership_matrix([target.bits], measure.m)[0]
     differ = C ^ T
     # the adversary compares every distance, the enumeration learner
     # reports only those of the concepts it chose
-    D = _row_masses(measure._arr, differ) if adversarial else np.zeros(K)
+    if adversarial:
+        D = _row_masses(measure._arr, differ)
+        order = np.argsort(-D, kind="stable")
+    else:
+        D = np.zeros(K)
+        order = np.arange(K) if learner.order is None else np.asarray(learner.order)
     X = np.ascontiguousarray(_words(differ[order]).T)  # words x K
     chosen = np.empty(trials, dtype=np.int64)
     found = np.empty(trials, dtype=bool)
@@ -369,10 +387,7 @@ def _dense_trials(cls, learner, target, measure, n, trials, rng):
         for j in range(1, len(X)):
             hit |= P[:, j : j + 1] & X[j]
         consistent = hit == 0
-        if adversarial:
-            col = np.argmax(np.where(consistent, D, -np.inf), axis=1)
-        else:
-            col = np.argmax(consistent, axis=1)
+        col = np.argmax(consistent, axis=1)
         ok = consistent[np.arange(col.size), col]
         k = order[col]
         # independent of the word test: the output matches every drawn label
@@ -566,14 +581,14 @@ def pac_error_estimate(
                 f"{int(np.argmin(found))}"
             )
         errors[~found] = 1.0
-    errors = errors.tolist()
-    mean = sum(errors) / trials
-    var = sum((e - mean) ** 2 for e in errors) / trials
+    mean = _left_sum(errors) / trials
+    # squares by libm's pow, as ** made them; d * d can differ in the last bit
+    var = _left_sum(np.float_power(errors - mean, 2)) / trials
     report = PacReport(
         mean_error=mean,
-        errors=tuple(errors),
+        errors=tuple(errors.tolist()),
         frac_exceeding={
-            float(e): sum(1 for x in errors if x > e) / trials for e in epsilons
+            float(e): np.count_nonzero(errors > e) / trials for e in epsilons
         },
         quantiles=_quantile_points(errors),
         stderr_mean=math.sqrt(var / trials),

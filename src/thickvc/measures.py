@@ -16,7 +16,6 @@ import numpy as np
 
 from .domain import Concept, require_int
 from .errors import DomainMismatch
-from .rng import derive_rng
 
 # |sum - 1| within SUM_EXACT_TOL is accepted as-is; within SUM_FIX_TOL the
 # vector is renormalized; beyond that construction fails.
@@ -121,16 +120,6 @@ def uniform_on(support: Concept) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(w))
 
 
-def point_mass(m: int, i: int) -> DiscreteMeasure:
-    require_int(m, "domain size")
-    require_int(i, "index")
-    if not 0 <= i < m:
-        raise ValueError(f"index {i} out of range for size {m}")
-    w = [0.0] * m
-    w[i] = 1.0
-    return DiscreteMeasure(tuple(w))
-
-
 def mixture(
     measures: Sequence[DiscreteMeasure], coefficients: Sequence[float]
 ) -> DiscreteMeasure:
@@ -197,20 +186,6 @@ def _row_counts(idx: np.ndarray, m: int) -> np.ndarray:
     rows = idx.shape[0]
     flat = (idx + m * np.arange(rows)[:, None]).ravel()
     return np.bincount(flat, minlength=rows * m).reshape(rows, m).astype(np.float64)
-
-
-def sample_iid(
-    measure: DiscreteMeasure, n: int, seed: int | np.random.Generator
-) -> tuple[int, ...]:
-    """Draw n i.i.d. points. Same (measure, n, seed) always gives the same
-    sequence, from derive_rng(seed, "sample"); pass a Generator to use an
-    externally derived stream."""
-    require_int(n, "sample size")
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
-    if not isinstance(seed, np.random.Generator):
-        seed = derive_rng(seed, "sample")
-    return tuple(_draw_indices(measure, n, seed).tolist())
 
 
 def symdiff_distance(measure: DiscreteMeasure, a: Concept, b: Concept) -> float:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,15 @@ from thickvc import (
     ConceptClass,
     Domain,
     DomainMismatch,
+    LearnerSpec,
     PrincipalIdeal,
     derive_rng,
+    empirical_sup_deviation,
+    gen_intervals,
     gen_random,
+    pac_error_estimate,
     restrict,
+    uniform,
 )
 from thickvc.domain import membership_matrix, pack_rows
 
@@ -192,3 +199,32 @@ def test_principal_ideal_membership():
     assert ideal.contains(Concept.from_indices(5, [1]))
     assert ideal.contains(Concept.empty(5))
     assert not ideal.contains(Concept.from_indices(5, [1, 2]))
+
+
+def test_class_matrix_is_built_once_read_only_and_outside_equality():
+    cls, twin = gen_intervals(9), gen_intervals(9)
+    assert "matrix" not in vars(cls)
+    mat = cls.matrix
+    assert "matrix" in vars(cls) and "matrix" not in vars(twin)
+    assert cls.matrix is mat and mat.dtype == bool and not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = True
+    assert np.array_equal(mat, membership_matrix(cls.masks(), cls.m))
+    assert cls == twin and hash(cls) == hash(twin) and repr(cls) == repr(twin)
+    assert pickle.dumps(cls) == pickle.dumps(twin)
+    back = pickle.loads(pickle.dumps(cls))
+    assert back == cls and "matrix" not in vars(back)
+    assert np.array_equal(back.matrix, mat)
+    empty = ConceptClass(Domain(4), ())
+    assert empty.matrix.shape == (0, 4)
+
+
+def test_dense_kernels_read_the_class_matrix():
+    for run in (
+        lambda c: pac_error_estimate(c, LearnerSpec("enumeration"), 3, uniform(6), 4, 5, 1),
+        lambda c: empirical_sup_deviation(c, uniform(6), 4, 5, 1),
+    ):
+        cls, twin = gen_intervals(6), gen_intervals(6)
+        run(cls)
+        assert "matrix" in vars(cls)
+        assert pickle.dumps(cls) == pickle.dumps(twin)

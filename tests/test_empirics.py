@@ -600,3 +600,91 @@ def test_packing_chain_on_grid():
             assert b.combinatorial >= Fraction(str(b.chernoff_okamoto)) or (
                 float(b.combinatorial) >= b.chernoff_okamoto
             ), (d, eps)
+
+
+def _left_to_right(values) -> float:
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
+def test_report_moments_are_left_to_right_sums():
+    # from Python 3.12 on, sum() over floats compensates; the reports add
+    # left to right on every version, so they match this loop and not fsum
+    rep = empirical_sup_deviation(gen_intervals(40), uniform(40), 10, 200, 111)
+    assert math.fsum(rep.sups) != _left_to_right(rep.sups)
+    assert rep.mean == _left_to_right(rep.sups) / rep.trials
+    pac = learning.pac_error_estimate(
+        gen_intervals(20), learning.LearnerSpec("enumeration"), 150, uniform(20),
+        4, 300, 0,
+    )
+    errs = pac.errors
+    mean = _left_to_right(errs) / pac.trials
+    squares = [(e - mean) ** 2 for e in errs]
+    assert math.fsum(errs) != _left_to_right(errs)
+    assert math.fsum(squares) != _left_to_right(squares)
+    assert pac.mean_error == mean
+    assert pac.stderr_mean == math.sqrt(_left_to_right(squares) / pac.trials / pac.trials)
+
+
+def _count_vectors(n: int, m: int):
+    """Every vector of m nonnegative counts summing to n."""
+    if m == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in _count_vectors(n - k, m - 1):
+            yield (k, *rest)
+
+
+def _exact_exceedance(cls, mu, n, eps) -> Fraction:
+    """P(sup_C |count_C / n - mu(C)| >= eps) over n i.i.d. draws, exactly.
+
+    Each weight is read as the exact rational its float holds, a_i / den,
+    and normalized by their exact sum S; a count vector k has probability
+    n! / prod(k_i!) * prod(a_i^k_i) / S^n. Integer arithmetic throughout.
+    Also asserts that eps lies more than 1e-9 from every deviation a
+    count vector of positive probability reaches, so the float comparison
+    in ugc_cell cannot differ from the exact one."""
+    w = [Fraction(x) for x in mu.weights]
+    den = math.lcm(*(x.denominator for x in w))
+    a = [int(x * den) for x in w]
+    S = sum(a)
+    masses = [sum(a[i] for i in c) for c in cls]
+    powers = [[x**k for k in range(n + 1)] for x in a]
+    e = Fraction(eps)
+    bar = e.numerator * n * S  # dev / (n S) >= eps iff dev * e.den >= bar
+    hit, margin = 0, None
+    for counts in _count_vectors(n, len(a)):
+        weight = math.factorial(n)
+        for i, k in enumerate(counts):
+            weight = weight // math.factorial(k) * powers[i][k]
+        if not weight:
+            continue  # a zero-weight atom drawn
+        dev = max(abs(sum(counts[i] for i in c) * S - n * A) for c, A in zip(cls, masses))
+        gap = abs(dev * e.denominator - bar)
+        margin = gap if margin is None else min(margin, gap)
+        if dev * e.denominator >= bar:
+            hit += weight
+    assert margin * 10**9 > n * S * e.denominator, "eps sits on a deviation"
+    return Fraction(hit, S**n)
+
+
+def test_ugc_cell_matches_the_exact_count_law():
+    # 20,000 trials per cell; over the six cells a correct sampler passes
+    # |z| < 4.5 in every cell with probability at least 1 - 6 * 6.8e-6
+    # (normal approximation, Bonferroni)
+    two = ConceptClass(
+        Domain(3), (Concept.from_indices(3, [0]), Concept.from_indices(3, [0, 1]))
+    )
+    skew = DiscreteMeasure((0.3, 0.0, 0.7))
+    trials, eps = 20_000, 0.1037
+    zs = []
+    for ci, (cls, n) in enumerate(((gen_power_set(3), 10), (gen_power_set(3), 80), (two, 40))):
+        for mi, mu in enumerate((uniform(3), skew)):
+            p = _exact_exceedance(cls, mu, n, eps)
+            assert 0 < p < 1
+            got = ugc_cell(cls, mu, n, eps, trials, 2601, ci, mi)
+            zs.append((got - p) / math.sqrt(p * (1 - p) / trials))
+    assert max(map(abs, zs)) < 4.5, zs

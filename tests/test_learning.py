@@ -701,3 +701,31 @@ def test_pac_estimate_derives_one_stream_per_cell(monkeypatch):
             calls.clear()
             pac_error_estimate(cls, spec, tgt, mu, n, trials, 5, seed_path=(2,), **kw)
             assert calls == [("pac", 2)], (spec, trials)
+
+
+def _row_masses_by_popcount(w, rows):
+    """The per-popcount loop that _row_masses replaced, kept as its
+    reference: one gather and one axis-1 sum per distinct popcount."""
+    counts = rows.sum(axis=1)
+    out = np.empty(len(rows))
+    for c in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == c)
+        out[sel] = w[np.nonzero(rows[sel])[1].reshape(sel.size, c)].sum(axis=1)
+    return out
+
+
+def test_row_masses_match_the_per_popcount_loop():
+    rng = derive_rng(2601, "row-masses")
+    for case in range(1200):
+        m = int(rng.integers(1, 131))
+        K = case % 3 if case < 30 else int(rng.integers(0, 60))
+        rows = rng.random((K, m)) < rng.random()
+        if K >= 2:
+            rows[rng.integers(K)] = False
+            rows[rng.integers(K)] = True
+        w = rng.random(m) ** 3
+        w[rng.random(m) < 0.2] = 0.0
+        got = learning._row_masses(w, rows)
+        want = _row_masses_by_popcount(w, rows)
+        assert got.dtype == np.float64 and got.shape == (K,), case
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], case

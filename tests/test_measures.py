@@ -17,13 +17,8 @@ from thickvc import (
     uniform,
     uniform_on,
 )
-from thickvc.measures import (
-    GUIDE_MAX,
-    GUIDE_PER_POINT,
-    _draw_indices,
-    point_mass,
-    sample_iid,
-)
+from conftest import point_mass, sample_iid
+from thickvc.measures import GUIDE_MAX, GUIDE_PER_POINT, _draw_indices
 
 
 def test_basic_properties():

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, point_mass
 from thickvc import cli
 from thickvc import (
     DiscreteMeasure,
@@ -31,7 +31,7 @@ from thickvc import (
     pac_error_estimate,
     uniform,
 )
-from thickvc.measures import _draw_indices, point_mass
+from thickvc.measures import _draw_indices
 
 
 def _skewed():
