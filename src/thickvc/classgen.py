@@ -47,8 +47,7 @@ def gen_finite_cofinite(
         if backend == "auto":
             return params
         raise WorkLimitExceeded(
-            f"{params.size} concepts exceed the dense limit {DENSE_CONCEPT_LIMIT}",
-            DENSE_CONCEPT_LIMIT,
+            f"{params.size} concepts exceed the dense limit {DENSE_CONCEPT_LIMIT}"
         )
     dom = Domain(m)
     full = (1 << m) - 1
@@ -179,5 +178,5 @@ def gen_random(m: int, count: int, density: float, seed: int) -> ConceptClass:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = derive_rng(seed, "gen-random")
     rows = rng.random((count, m)) < density
-    concepts = [Concept(m, bits) for bits in pack_rows(rows)]
-    return ConceptClass.create(Domain(m), concepts, dedup=True)
+    masks = dict.fromkeys(pack_rows(rows))  # first occurrences, in draw order
+    return ConceptClass(Domain(m), tuple(Concept(m, b) for b in masks), dedup=True)

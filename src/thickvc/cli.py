@@ -36,7 +36,14 @@ from .errors import (
     WorkLimitExceeded,
 )
 from .fincofin import FCSet, FiniteCofiniteClass
-from .formats import read_class, read_point_set, save_class
+from .formats import (
+    decode,
+    read_class,
+    read_fields,
+    read_point_set,
+    read_tag,
+    save_class,
+)
 from .learning import (
     LearnerSpec,
     pac_error_estimate,
@@ -73,54 +80,9 @@ def _base(record: str, **extra) -> dict:
 # input plumbing
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _typed(value, kind, where: str):
-    """A config value checked against its kind: int (a JSON integer, never
-    a bool or a float), float (ints too), str, dict, or [kind] for a list."""
-    if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise FormatError(f"{where} must be a list")
-        return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise FormatError(f"{where} must be {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
-
-
-def _fields(doc, what: str, fields: dict) -> list:
-    """Strictly read a config object. `fields` maps every allowed key to its
-    kind (see _typed), or to (kind, default) for an optional key; the values
-    come back in `fields` order."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"{what} must be an object")
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise FormatError(f"unknown {what} key(s): {', '.join(unknown)}")
-    out = []
-    for key, kind in fields.items():
-        if key in doc:
-            out.append(_typed(doc[key], kind[0] if isinstance(kind, tuple) else kind,
-                              f"{what} {key!r}"))
-        elif isinstance(kind, tuple):
-            out.append(kind[1])
-        else:
-            raise FormatError(f"{what} needs key {key!r}")
-    return out
-
-
-def _tag(doc, what: str, key: str, table: dict) -> str:
-    """The entry of `table` that config object `doc` names under `key`."""
-    name = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(name, str) or name not in table:
-        raise FormatError(f"{what} needs {key!r}, one of: {', '.join(table)}")
-    return name
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return decode(fh.read(), path)
 
 
 # family -> (classgen function, typed parameters in call order); the `gen`
@@ -159,20 +121,20 @@ def _resolve(path: str, base_dir: str) -> str:
 
 def _class_from_spec(spec, base_dir: str):
     """Config "class" entry: {"path": file} or {"generator": {...}}."""
-    path, gen = _fields(
+    path, gen = read_fields(
         spec, "class spec", {"path": (str, None), "generator": (dict, None)}
     )
     if (path is None) == (gen is None):
         raise FormatError("class spec needs exactly one of 'path', 'generator'")
     if path is not None:
         return read_class(_resolve(path, base_dir))
-    family = _tag(gen, "generator", "family", GENERATORS)
+    family = read_tag(gen, "generator", "family", GENERATORS)
     params = GENERATORS[family][1]
     fields = {"family": str}
     fields.update({p: dict if k is ConceptClass else k for p, k in params.items()})
     if family == "finite-cofinite":  # configs may pick the backend
         fields["backend"] = (str, "auto")
-    _, *values = _fields(gen, f"{family} generator", fields)
+    _, *values = read_fields(gen, f"{family} generator", fields)
     kw = {"backend": values.pop()} if family == "finite-cofinite" else {}
     if family == "cluster-decorated":
         values[0] = _class_from_spec(values[0], base_dir)
@@ -182,8 +144,8 @@ def _class_from_spec(spec, base_dir: str):
 
 
 def _measure_from_spec(spec, m: int) -> DiscreteMeasure:
-    t = _tag(spec, "measure", "type", MEASURES)
-    _, *values = _fields(spec, f"{t} measure", {"type": str, **MEASURES[t]})
+    t = read_tag(spec, "measure", "type", MEASURES)
+    _, *values = read_fields(spec, f"{t} measure", {"type": str, **MEASURES[t]})
     if t == "uniform":
         return uniform(m)
     if t == "uniform-on":
@@ -200,7 +162,7 @@ def _measure_from_spec(spec, m: int) -> DiscreteMeasure:
 def _target_from_spec(spec, cls):
     """Config target entry, exactly one of {"index": i}, {"points": [...]}
     and {"kind": finite|cofinite, "core": [...]}."""
-    index, points, kind, core = _fields(spec, "target", {
+    index, points, kind, core = read_fields(spec, "target", {
         "index": (int, None), "points": ([int], None),
         "kind": (str, None), "core": ([int], None),
     })
@@ -385,7 +347,9 @@ def _sim_config(args, what: str, fields: dict) -> list:
     """A sim config read strictly: the class built from its "class" spec
     (a path in it is relative to the config), then the values of `fields`
     in order."""
-    cspec, *values = _fields(_load_json(args.config), what, {"class": dict, **fields})
+    cspec, *values = read_fields(
+        _load_json(args.config), what, {"class": dict, **fields}
+    )
     base_dir = os.path.dirname(os.path.abspath(args.config))
     return [_class_from_spec(cspec, base_dir), *values]
 
@@ -415,7 +379,7 @@ def cmd_pac_sim(args) -> int:
             "epsilons": ([float], []), "no_hypothesis": (str, "raise"),
         },
     )
-    kind, order = _fields(
+    kind, order = read_fields(
         lspec, "learner", {"kind": (str, "enumeration"), "order": ([int], None)}
     )
     learner = LearnerSpec(kind, None if order is None else tuple(order))

@@ -212,25 +212,6 @@ class ConceptClass:
         if self.dedup and len({c.bits for c in concepts}) != len(concepts):
             raise ValueError("dedup flag set but duplicate concepts present")
 
-    @classmethod
-    def create(
-        cls,
-        domain: Domain,
-        concepts: Iterable[Concept],
-        dedup: bool = False,
-    ) -> "ConceptClass":
-        """Build a class; with dedup=True drop repeats, keeping first occurrences."""
-        concepts = tuple(concepts)
-        if dedup:
-            seen: set[int] = set()
-            kept = []
-            for c in concepts:
-                if c.bits not in seen:
-                    seen.add(c.bits)
-                    kept.append(c)
-            concepts = tuple(kept)
-        return cls(domain, concepts, dedup)
-
     @property
     def m(self) -> int:
         """Domain size, the name FiniteCofiniteClass uses too."""

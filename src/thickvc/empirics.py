@@ -285,8 +285,7 @@ def packing_number(
     K = len(cls.concepts)
     if K * K > work_limit:
         raise WorkLimitExceeded(
-            f"{K}^2 pairwise distances exceed the work limit {work_limit}",
-            work_limit,
+            f"{K}^2 pairwise distances exceed the work limit {work_limit}"
         )
     m, w = measure.m, measure._arr
     total = float(w.sum())
@@ -339,9 +338,7 @@ def packing_number(
             rest ^= low
             nodes += 1
             if nodes > work_limit:
-                raise WorkLimitExceeded(
-                    f"clique search passed {work_limit} nodes", work_limit
-                )
+                raise WorkLimitExceeded(f"clique search passed {work_limit} nodes")
             grow(clique + (v,), rest & adj[v])
 
     grow((), (1 << K) - 1)

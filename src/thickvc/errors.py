@@ -22,14 +22,8 @@ class NoConsistentHypothesis(ThickVCError):
 
 
 class WorkLimitExceeded(ThickVCError):
-    """An exact search exceeded its node or candidate budget.
-
-    Carries the budget that was exceeded so callers can report it.
-    """
-
-    def __init__(self, message: str, limit: int | None = None):
-        super().__init__(message)
-        self.limit = limit
+    """An exact search exceeded its node or candidate budget; the message
+    states the budget."""
 
 
 class FormatError(ThickVCError):

@@ -1,4 +1,5 @@
-"""Text formats for concept classes and point sets.
+"""Text formats for concept classes and point sets, and the one strict
+reader that every JSON document of the package goes through.
 
 Class file grammar, one concept per line:
 
@@ -12,9 +13,13 @@ Point-set files are a single JSON document:
 
     {"format": "point-set", "version": 1, "m": <int>, "points": [<ints>]}
 
-Parsers are strict: wrong tags, unknown or non-int versions, count or
-length mismatches, stray trailing lines, a boolean given as m, count or a
-point, and a non-boolean dedup are all rejected.
+A class header, a point-set file and a CLI config are each decoded by
+`decode` and read by `read_fields` against a table of kinds, so all three
+refuse an unknown or missing key and a value of the wrong kind (json's
+true where an int belongs, null where a list does) alike. The two file
+formats also refuse a wrong tag and a version other than the int 1; a
+class file also refuses count or length mismatches and stray trailing
+lines.
 """
 
 from __future__ import annotations
@@ -32,11 +37,70 @@ POINTSET_TAG = "point-set"
 FORMAT_VERSION = 1
 
 
-def _check_version(doc: dict) -> None:
-    # type() refuses json's true, which == 1
-    v = doc.get("version")
-    if type(v) is not int or v != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {v!r}")
+def decode(text: str, what: str):
+    """The JSON value of `text`; malformed JSON is a FormatError naming
+    `what`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what}: not valid JSON: {exc}") from exc
+
+
+def typed(value, kind, where: str):
+    """A document value checked against its kind: int (a JSON integer, never
+    a bool or a float), float (ints too), bool (true or false and nothing
+    else), str, dict, or [kind] for a list."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise FormatError(f"{where} must be a list")
+        return [typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    accepted = (int, float) if kind is float else kind
+    # json's true is a Python int, so a bool passes only where bool is asked
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise FormatError(f"{where} must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def read_fields(doc, what: str, fields: dict) -> list:
+    """Strictly read a document object. `fields` maps every allowed key to
+    its kind (see typed), or to (kind, default) for an optional key; the
+    values come back in `fields` order."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be an object")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise FormatError(f"unknown {what} key(s): {', '.join(unknown)}")
+    out = []
+    for key, kind in fields.items():
+        if key in doc:
+            out.append(typed(doc[key], kind[0] if isinstance(kind, tuple) else kind,
+                             f"{what} {key!r}"))
+        elif isinstance(kind, tuple):
+            out.append(kind[1])
+        else:
+            raise FormatError(f"{what} needs key {key!r}")
+    return out
+
+
+def read_tag(doc, what: str, key: str, table) -> str:
+    """The entry of `table` that document object `doc` names under `key`."""
+    name = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(name, str) or name not in table:
+        raise FormatError(f"{what} needs {key!r}, one of: {', '.join(table)}")
+    return name
+
+
+def _read_file_doc(text: str, what: str, tag: str, fields: dict) -> list:
+    """The values of `fields` in a file's JSON document: its format tag
+    first, then every field typed, then the version."""
+    doc = decode(text, what)
+    read_tag(doc, what, "format", (tag,))
+    _, version, *values = read_fields(
+        doc, what, {"format": str, "version": int, **fields}
+    )
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported {what} version {version}")
+    return values
 
 
 def dump_class(cls: ConceptClass) -> str:
@@ -60,22 +124,14 @@ def load_class(text: str) -> ConceptClass:
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty class document")
+    m, count, dedup, labels = _read_file_doc(
+        lines[0], "class header", CLASS_TAG,
+        {"m": int, "count": int, "dedup": (bool, False), "labels": ([str], None)},
+    )
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad class header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CLASS_TAG:
-        raise FormatError(f"not a {CLASS_TAG} document")
-    _check_version(header)
-    m = header.get("m")
-    count = header.get("count")
-    if type(m) is not int or m < 1:
-        raise FormatError(f"bad domain size {m!r}")
-    if type(count) is not int or count < 0:
-        raise FormatError(f"bad concept count {count!r}")
-    dedup = header.get("dedup", False)
-    if type(dedup) is not bool:
-        raise FormatError(f"dedup must be true or false, got {dedup!r}")
+        domain = Domain(m, labels)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     body = [ln for ln in lines[1:] if ln.strip() != ""]
     if len(body) != count:
         raise FormatError(f"header says {count} concepts, found {len(body)}")
@@ -85,17 +141,7 @@ def load_class(text: str) -> ConceptClass:
         if len(ln) != m or any(ch not in "01" for ch in ln):
             raise FormatError(f"record {k}: expected a 0/1 string of length {m}")
         concepts.append(Concept.from_string(ln))
-    labels = header.get("labels")
-    if labels is not None:
-        if (
-            not isinstance(labels, list)
-            or len(labels) != m
-            or not all(isinstance(s, str) for s in labels)
-        ):
-            raise FormatError("labels must be a list of m strings")
-        labels = tuple(labels)
     try:
-        domain = Domain(m, labels)
         return ConceptClass(domain, tuple(concepts), dedup=dedup)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
@@ -122,21 +168,11 @@ def dump_point_set(points: Concept) -> str:
 
 
 def load_point_set(text: str) -> Concept:
+    m, points = _read_file_doc(
+        text, "point-set document", POINTSET_TAG, {"m": int, "points": [int]}
+    )
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad point-set document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != POINTSET_TAG:
-        raise FormatError(f"not a {POINTSET_TAG} document")
-    _check_version(doc)
-    m = doc.get("m")
-    pts = doc.get("points")
-    if type(m) is not int or m < 1:
-        raise FormatError(f"bad domain size {m!r}")
-    if not isinstance(pts, list) or not all(type(i) is int for i in pts):
-        raise FormatError("points must be a list of ints")
-    try:
-        return Concept.from_indices(m, pts)
+        return Concept.from_indices(m, points)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -193,9 +193,7 @@ def learner_image(
     sizes = range(1, min(n, m) + 1) if n else (0,)
     total = sum(math.comb(m, k) for k in sizes if k)
     if total > work_limit:
-        raise WorkLimitExceeded(
-            f"{total} supports exceed the work limit {work_limit}", work_limit
-        )
+        raise WorkLimitExceeded(f"{total} supports exceed the work limit {work_limit}")
     supports = chain.from_iterable(combinations(range(m), k) for k in sizes)
     return frozenset(
         enumeration_learner(cls, order, *label_sample(target, pts))

@@ -94,6 +94,10 @@ class DiscreteMeasure:
         rank[order] = np.arange(self.m, dtype=np.int32)
         return order, rank
 
+    def __getstate__(self):
+        # _guide and _heavy are caches of the weights, rebuilt on first use
+        return {k: v for k, v in vars(self).items() if k not in ("_guide", "_heavy")}
+
     def mass(self, indices: Iterable[int]) -> float:
         idx = list(indices)
         if not idx:

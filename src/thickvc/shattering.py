@@ -305,9 +305,7 @@ def _max_family(
                 child, size = live, left
             nodes += 1
             if nodes > work_limit:
-                raise WorkLimitExceeded(
-                    f"family search passed {work_limit} nodes", work_limit
-                )
+                raise WorkLimitExceeded(f"family search passed {work_limit} nodes")
             db = disjoint[j]
             cb = contains[j]
             lo: list[int] = []
@@ -355,8 +353,7 @@ def _search(
         if count > work_limit:
             raise WorkLimitExceeded(
                 f"C({len(points)},{size}) = {count} candidate clusters exceed the "
-                f"work limit {work_limit}",
-                work_limit,
+                f"work limit {work_limit}"
             )
     traces = sorted({c.bits & allowed for c in cls.concepts})
     candidates = [sum(1 << p for p in t) for t in combinations(points, size)]
@@ -491,8 +488,7 @@ def vc_after_removal(
         if count > work_limit:
             raise WorkLimitExceeded(
                 f"C({m},{budget}) = {count} removal sets exceed the work "
-                f"limit {work_limit}",
-                work_limit,
+                f"limit {work_limit}"
             )
         best_vc: int | None = None
         best_mask = 0

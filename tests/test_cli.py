@@ -406,6 +406,28 @@ def test_file_booleans_exit_2(tmp_path, capsys):
         assert code == 2 and out == "" and "input error" in err, argv
 
 
+def test_file_unknown_keys_exit_2(tmp_path, capsys):
+    # class files and point-set files are read as strictly as configs
+    good = tmp_path / "good.class"
+    save_class(gen_intervals(2), str(good))
+    lables = tmp_path / "lables.class"
+    lables.write_text(
+        '{"count": 1, "format": "concept-class", "lables": ["a"], "m": 1, '
+        '"version": 1}\n1\n'
+    )
+    extra_pts = tmp_path / "extra_pts.json"
+    extra_pts.write_text(
+        '{"format": "point-set", "m": 2, "points": [0], "size": 1, "version": 1}'
+    )
+    for argv, key in (
+        (["vc", "--class", str(lables)], "lables"),
+        (["vc-mod", "--class", str(good), "--negligible", str(extra_pts)], "size"),
+    ):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and f"key(s): {key}" in err, argv
+
+
 def test_pac_sim_no_hypothesis_exit(tmp_path):
     cfg = tmp_path / "pac.json"
     cfg.write_text(json.dumps({

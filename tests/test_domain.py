@@ -79,9 +79,6 @@ def test_concept_class_and_dedup():
     assert len(cls) == 3
     assert cls[2] == c1
     assert cls.m == cls.domain.size == 4
-    deduped = ConceptClass.create(d, [c0, c1, c1, c0], dedup=True)
-    assert len(deduped) == 2
-    assert list(deduped.masks()) == [c0.bits, c1.bits]
     with pytest.raises(DomainMismatch):
         ConceptClass(d, (Concept.from_indices(5, [0]),))
     with pytest.raises(TypeError, match="entry 1 is not a Concept"):

@@ -17,6 +17,7 @@ from thickvc.formats import (
     dump_point_set,
     load_class,
     load_point_set,
+    typed,
 )
 
 
@@ -168,3 +169,50 @@ def test_dump_class_matches_per_concept_rendering(m):
         text = dump_class(cls)
         assert text == _per_concept_dump(cls), (m, len(cls.concepts))
         assert load_class(text) == cls
+
+
+@pytest.mark.parametrize("key", ["lables", "dedupe", "extra"])
+def test_file_documents_refuse_an_unknown_key(key):
+    # a misspelt key would otherwise load as if it were absent
+    header = {"format": "concept-class", "version": 1, "m": 1, "count": 1}
+    with pytest.raises(FormatError, match=f"unknown class header key.*{key}"):
+        load_class(json.dumps({**header, key: True}) + "\n1\n")
+    doc = {"format": "point-set", "version": 1, "m": 2, "points": [0]}
+    with pytest.raises(FormatError, match=f"unknown point-set document key.*{key}"):
+        load_point_set(json.dumps({**doc, key: [0]}))
+
+
+@pytest.mark.parametrize("labels", [None, "a", ["a", 1], [None]])
+def test_class_header_refuses_labels_that_are_no_list_of_strings(labels):
+    header = {"format": "concept-class", "version": 1, "m": 1, "count": 1}
+    with pytest.raises(FormatError, match="labels"):
+        load_class(json.dumps({**header, "labels": labels}) + "\n1\n")
+
+
+@pytest.mark.parametrize("labels", [None, ("x", "y", "z")])
+@pytest.mark.parametrize("dedup", [False, True])
+def test_every_header_dump_class_writes_loads_back(labels, dedup):
+    cls = ConceptClass(
+        Domain(3, labels=labels),
+        (Concept.from_indices(3, [1]), Concept.empty(3)),
+        dedup=dedup,
+    )
+    text = dump_class(cls)
+    header = json.loads(text.splitlines()[0])
+    assert ("labels" in header) == (labels is not None)
+    assert ("dedup" in header) == dedup
+    back = load_class(text)
+    assert back == cls and back.domain.labels == labels and back.dedup is dedup
+
+
+def test_typed_reads_bools_only_as_bools():
+    assert typed(True, bool, "x") is True and typed(False, bool, "x") is False
+    assert typed([True, False], [bool], "x") == [True, False]
+    for value in (0, 1, 1.0, "true", None, [True]):
+        with pytest.raises(FormatError, match="must be bool"):
+            typed(value, bool, "x")
+    # json's true is the Python int 1, and still no int or float here
+    for kind in (int, float, [int]):
+        with pytest.raises(FormatError):
+            typed([True] if isinstance(kind, list) else True, kind, "x")
+    assert typed(1, int, "x") == 1 and typed(1, float, "x") == 1.0

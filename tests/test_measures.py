@@ -1,6 +1,7 @@
 """Measure construction, tolerances, sampling determinism."""
 
 import collections
+import pickle
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ def test_guide_table_is_lazy_and_outside_equality():
     _draw_indices(mu, 3, derive_rng(1, "lazy"))
     assert "_guide" in vars(mu) and "_guide" not in vars(twin)
     assert mu == twin and repr(mu) == repr(twin) and hash(mu) == hash(twin)
+
+
+def test_used_measure_pickles_like_an_unused_twin():
+    # the draw and heavy-point caches are rebuilt after a round trip, not sent
+    w = (0.5, 0.0, 0.25, 0.125, 0.125)
+    mu, twin = DiscreteMeasure(w), DiscreteMeasure(w)
+    _draw_indices(mu, 7, derive_rng(1, "used"))
+    mu._heavy
+    assert {"_guide", "_heavy"} <= set(vars(mu))
+    assert pickle.dumps(mu) == pickle.dumps(twin)
+    back = pickle.loads(pickle.dumps(mu))
+    assert "_guide" not in vars(back) and back == mu
+    draws = [_draw_indices(x, (4, 9), derive_rng(2, "trip")) for x in (mu, back)]
+    assert np.array_equal(*draws)
+    assert [x.tolist() for x in back._heavy] == [x.tolist() for x in mu._heavy]
 
 
 @settings(settings.get_profile("oracles"))
