@@ -40,4 +40,5 @@ def test_only_formats_decodes_json():
         for line in decoder_uses(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, found
-    assert decoder_uses(ast.parse((PACKAGE / "formats.py").read_text()))
+    formats = ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))
+    assert decoder_uses(formats)
